@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lintdoc checklinks bench microbench report tier1 tier2 serve loadtest fuzz chaos smoke
+.PHONY: all build test race vet lint lintdoc checklinks bench microbench report tier1 tier2 serve loadtest fuzz chaos smoke perfcheck
 
 all: tier1
 
@@ -76,10 +76,16 @@ else
 	$(GO) run ./cmd/loadgen -url $(LOADTEST_URL) -n 2000 -c 32 -batch 8
 endif
 
-# fuzz: a bounded fuzzing smoke over the spec parser, the retryable-
-# error classifier, and the cache-snapshot decoder (CI runs this).
+# fuzz: a bounded fuzzing smoke (CI runs this) over the request decoders
+# (FuzzParse, FuzzParseBatch, FuzzWatchRequest: the fast path must agree
+# with encoding/json on verdict, value and error bytes), the response
+# encoder (FuzzAppendResult: byte-identical to json.Encoder), the
+# retryable-error classifier, and the cache-snapshot decoder.
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/spec
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/spec
+	$(GO) test -fuzz='^FuzzParseBatch$$' -fuzztime=30s ./internal/spec
+	$(GO) test -fuzz='^FuzzWatchRequest$$' -fuzztime=30s ./internal/spec
+	$(GO) test -fuzz='^FuzzAppendResult$$' -fuzztime=30s ./internal/spec
 	$(GO) test -fuzz=FuzzRetryable -fuzztime=30s ./internal/faults
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/batch
 
@@ -96,6 +102,18 @@ chaos:
 # observability endpoints (/metrics, /debug/vars, /debug/traces).
 smoke:
 	./scripts/smoke.sh
+
+# perfcheck: vet the perfbench module and run each of its workloads for
+# one second with tracing off. Only the exit code counts: every answer
+# passes the Eq. 6 oracle and the /metrics cross-checks hold. No timing
+# is gated. perfbench is its own module, so `go build ./...` never
+# builds it; this is what notices a change that breaks it.
+PERF_WORKLOADS = analyze_warm batch_cold_linear convex_zipf watch_linear
+perfcheck:
+	cd perfbench && $(GO) vet .
+	for w in $(PERF_WORKLOADS); do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # tier1: the gate every change must keep green.
 tier1: build test

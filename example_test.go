@@ -205,7 +205,7 @@ func ExampleNewClusterRing() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("owner stays fixed: %v\n", ring.Owner(sys.RouteKey) == ring.Owner(sys.RouteKey))
+	fmt.Printf("owner stays fixed: %v\n", ring.Owner(sys.RouteKey()) == ring.Owner(sys.RouteKey()))
 
 	// Decoding the meta block of a forwarded /v1/analyze response.
 	meta := robustness.ResponseMeta{Node: "n2", Forwarded: true, Cache: "hit"}

@@ -1,5 +1,5 @@
 // Package cluster is fepiad's stdlib-only peer layer: a consistent-hash
-// ring that assigns every radius-cache key (spec.System.RouteKey) to
+// ring that assigns every radius-cache key (spec.System.RouteKey()) to
 // exactly one owning node, plus an HTTP router that forwards non-owned
 // requests to the owner under the shared resilience primitives — the
 // decorrelated-jitter retry policy and a per-peer circuit breaker from
@@ -112,7 +112,7 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Owner returns the node that owns key (a spec.System.RouteKey). The key
+// Owner returns the node that owns key (a spec.System.RouteKey()). The key
 // is mixed before lookup, so callers pass their digest verbatim.
 func (r *Ring) Owner(key uint64) string {
 	h := mix64(key)

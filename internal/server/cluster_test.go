@@ -67,7 +67,7 @@ func ownedDoc(t *testing.T, nodes []*clusterNode, owner string) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nodes[0].srv.router.Owner(sys.RouteKey) == owner {
+		if nodes[0].srv.router.Owner(sys.RouteKey()) == owner {
 			return doc
 		}
 	}
@@ -102,9 +102,9 @@ func TestClusterForwardingDeterministicAndByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := nodes[0].srv.router.Owner(sys.RouteKey)
+		want := nodes[0].srv.router.Owner(sys.RouteKey())
 		for _, node := range nodes[1:] {
-			if got := node.srv.router.Owner(sys.RouteKey); got != want {
+			if got := node.srv.router.Owner(sys.RouteKey()); got != want {
 				t.Fatalf("doc %d: node %s says owner %q, node n0 says %q", k, node.id, got, want)
 			}
 		}
@@ -180,7 +180,7 @@ func TestClusterBatchPartitioning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		owner := nodes[0].srv.router.Owner(sys.RouteKey)
+		owner := nodes[0].srv.router.Owner(sys.RouteKey())
 		if res.Name != sys.Name {
 			t.Fatalf("results[%d] = %q, want %q (request order violated)", i, res.Name, sys.Name)
 		}

@@ -46,7 +46,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -604,10 +603,15 @@ func (s *Server) retryAfterHeader(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 }
 
-// readBody reads a size-capped request body.
-func (s *Server) readBody(endpoint string, w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// readBody reads a size-capped request body into a bodyPool buffer.
+// The decoders copy everything they keep, so the caller hands the
+// buffer back with putBuf once the body is parsed.
+func (s *Server) readBody(endpoint string, w http.ResponseWriter, r *http.Request) (*[]byte, bool) {
+	body := getBuf()
+	var err error
+	*body, err = appendAll(*body, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
+		putBuf(body)
 		s.metrics.errs[endpoint].Inc()
 		obs.TraceFrom(r.Context()).SetAttr("outcome", "invalid_spec")
 		status, kind := http.StatusBadRequest, "invalid_spec"
@@ -636,18 +640,25 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		psp.End(errors.New("body rejected"))
 		return
 	}
-	sys, err := spec.Parse(body)
+	sys, err := spec.Parse(*body)
 	psp.End(err)
+	forwarded := r.Header.Get(cluster.ForwardedFromHeader) != ""
+	relayable := s.router != nil && !forwarded
+	if !relayable {
+		// A relayed body may still be in the transport's hands after
+		// Forward returns, so only a request that cannot be relayed
+		// recycles its buffer.
+		putBuf(body)
+	}
 	if err != nil {
 		s.fail(epAnalyze, w, r, err)
 		return
 	}
 
-	forwarded := r.Header.Get(cluster.ForwardedFromHeader) != ""
 	degradedPeer := false
-	if s.router != nil && !forwarded {
-		if owner := s.router.Owner(sys.RouteKey); owner != s.router.Self() {
-			if s.relay(epAnalyze, w, r, owner, "/v1/analyze", body) {
+	if relayable {
+		if owner := s.router.Owner(sys.RouteKey()); owner != s.router.Self() {
+			if s.relay(epAnalyze, w, r, owner, "/v1/analyze", *body) {
 				return
 			}
 			// Owner unreachable and degraded mode on: answer locally so
@@ -914,7 +925,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		psp.End(errors.New("body rejected"))
 		return
 	}
-	systems, err := spec.ParseBatch(body)
+	systems, err := spec.ParseBatch(*body)
+	putBuf(body)
 	psp.End(err)
 	if err != nil {
 		s.fail(epBatch, w, r, err)
@@ -926,7 +938,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.router != nil && !forwarded {
 		self := s.router.Self()
 		for i, sys := range systems {
-			if owner := s.router.Owner(sys.RouteKey); owner != self {
+			if owner := s.router.Owner(sys.RouteKey()); owner != self {
 				if remote == nil {
 					remote = make(map[string][]int)
 				}
@@ -1281,20 +1293,4 @@ func (s *Server) fail(endpoint string, w http.ResponseWriter, r *http.Request, e
 		obs.Logger(r.Context()).Error("analysis failed", "kind", kind, "error", err.Error())
 	}
 	writeError(w, status, spec.ErrorJSON{Error: err.Error(), Kind: kind, Path: path})
-}
-
-// writeJSON writes a 2xx JSON document.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// writeError writes the ErrorJSON envelope.
-func writeError(w http.ResponseWriter, status int, e spec.ErrorJSON) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(e)
 }

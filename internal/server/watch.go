@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -51,14 +50,12 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		psp.End(errors.New("body rejected"))
 		return
 	}
-	var req spec.WatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		verr := &spec.ValidationError{Msg: "malformed JSON: " + err.Error(), Err: err}
-		psp.End(verr)
-		s.fail(epWatch, w, r, verr)
-		return
+	req, err := spec.DecodeWatchRequest(*body)
+	putBuf(body)
+	var sys *spec.System
+	if err == nil {
+		sys, err = spec.Build(req.System)
 	}
-	sys, err := spec.Build(req.System)
 	if err == nil {
 		err = validateTrajectory(req.Points, len(sys.Perturbation.Orig))
 	}
@@ -89,7 +86,16 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	s.serveHeaders(w, r, false)
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
+	buf := getBuf()
+	defer putBuf(buf)
+	// emit writes one compact ndjson line.
+	emit := func(v any) error {
+		line, err := encodeBody(buf, v, false)
+		if err == nil {
+			_, err = w.Write(line)
+		}
+		return err
+	}
 
 	totalChanged := 0
 	for i, pt := range req.Points {
@@ -108,7 +114,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			obs.Logger(r.Context()).Warn("watch session aborted mid-stream",
 				"step", i+1, "kind", kind, "error", err.Error())
 			s.metrics.errs[epWatch].Inc()
-			_ = enc.Encode(spec.WatchSummary{Done: true, Steps: i, TotalChanged: totalChanged,
+			_ = emit(spec.WatchSummary{Done: true, Steps: i, TotalChanged: totalChanged,
 				Error: err.Error(), ErrorKind: kind})
 			flush(flusher)
 			return
@@ -127,14 +133,15 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			s.metrics.anytimePartial.Inc()
 			obs.TraceFrom(r.Context()).SetAttr("anytime", "partial")
 		}
-		if err := enc.Encode(frame); err != nil {
-			// The client went away; nothing left to tell it.
+		if err := emit(frame); err != nil {
+			// The client went away (or the frame holds a non-finite
+			// float); nothing left to tell it.
 			obs.TraceFrom(r.Context()).SetAttr("outcome", "client_gone")
 			return
 		}
 		flush(flusher)
 	}
-	_ = enc.Encode(spec.WatchSummary{Done: true, Steps: len(req.Points), TotalChanged: totalChanged})
+	_ = emit(spec.WatchSummary{Done: true, Steps: len(req.Points), TotalChanged: totalChanged})
 	flush(flusher)
 }
 

@@ -48,9 +48,12 @@ type ErrorJSON struct {
 // System per entry, in order. Failures are *ValidationError values whose
 // paths are rooted at "systems[i]".
 func ParseBatch(data []byte) ([]*System, error) {
-	var req BatchRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, &ValidationError{Msg: "malformed JSON: " + err.Error(), Err: err}
+	req, ok := decodeBatch(data)
+	if !ok {
+		req = BatchRequest{} // the fast path may have filled it partway
+		if err := json.Unmarshal(data, &req); err != nil {
+			return nil, malformed(err)
+		}
 	}
 	if len(req.Systems) == 0 {
 		return nil, invalidf("systems", "no systems")

@@ -49,6 +49,12 @@ func (e *ValidationError) Unwrap() []error {
 	return []error{ErrInvalidSpec}
 }
 
+// malformed wraps a json.Unmarshal failure as the document-level
+// "malformed JSON" ValidationError.
+func malformed(err error) error {
+	return &ValidationError{Msg: "malformed JSON: " + err.Error(), Err: err}
+}
+
 // invalidf builds a ValidationError at path from a format string.
 func invalidf(path, format string, args ...any) error {
 	return &ValidationError{Path: path, Msg: fmt.Sprintf(format, args...)}

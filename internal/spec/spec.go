@@ -117,17 +117,30 @@ type System struct {
 	Perturbation core.Perturbation
 	// Options carries the norm selection.
 	Options core.Options
-	// RouteKey is a deterministic 64-bit digest of the canonical spec
-	// document, identical for the same spec on every node regardless of
-	// request formatting. The cluster layer (internal/cluster) hashes it
-	// onto the consistent-hash ring to pick the owning fepiad node, so
-	// structurally identical systems always land on the same node's warm
-	// cache.
-	RouteKey uint64
 	// File is the decoded source document the system was built from,
 	// retained so cluster forwarding can re-marshal sub-batches without
-	// keeping the original request body around.
+	// keeping the original request body around, and so RouteKey can be
+	// computed on demand.
 	File File
+}
+
+// RouteKey is a deterministic 64-bit digest of the canonical spec
+// document, identical for the same spec on every node regardless of
+// request formatting: FNV-64a of json.Marshal(s.File), whose struct
+// field order is fixed and which drops the request's whitespace. The
+// cluster layer (internal/cluster) hashes it onto the consistent-hash
+// ring to pick the owning fepiad node, so structurally identical systems
+// always land on the same node's warm cache. It is computed on every
+// call; only a ring router needs it.
+func (s *System) RouteKey() uint64 {
+	doc, err := json.Marshal(s.File)
+	if err != nil {
+		// A decoded File always re-marshals; keep the key infallible.
+		return 0
+	}
+	h := fnv.New64a()
+	_, _ = h.Write(doc)
+	return h.Sum64()
 }
 
 // Parse decodes and validates a JSON spec. Every failure is a
@@ -135,9 +148,12 @@ type System struct {
 // (and matching ErrInvalidSpec), so callers can distinguish client
 // mistakes from engine failures with errors.As.
 func Parse(data []byte) (*System, error) {
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, &ValidationError{Msg: "malformed JSON: " + err.Error(), Err: err}
+	f, ok := decodeFile(data)
+	if !ok {
+		f = File{} // the fast path may have filled it partway
+		if err := json.Unmarshal(data, &f); err != nil {
+			return nil, malformed(err)
+		}
 	}
 	return Build(f)
 }
@@ -200,22 +216,7 @@ func Build(f File) (*System, error) {
 		}
 		features = append(features, feature)
 	}
-	return &System{Name: f.Name, Features: features, Perturbation: p, Options: opts,
-		RouteKey: routeKey(f), File: f}, nil
-}
-
-// routeKey digests the canonical re-marshaled form of a decoded File —
-// struct field order is fixed and request whitespace is gone, so two
-// nodes decoding the same spec always agree on the key.
-func routeKey(f File) uint64 {
-	doc, err := json.Marshal(f)
-	if err != nil {
-		// A decoded File always re-marshals; keep Build infallible here.
-		return 0
-	}
-	h := fnv.New64a()
-	_, _ = h.Write(doc)
-	return h.Sum64()
+	return &System{Name: f.Name, Features: features, Perturbation: p, Options: opts, File: f}, nil
 }
 
 // buildImpact assembles the impact function of one feature; path locates

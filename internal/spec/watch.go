@@ -1,6 +1,10 @@
 package spec
 
-import "fepia/internal/core"
+import (
+	"encoding/json"
+
+	"fepia/internal/core"
+)
 
 // Watch wire format (docs/SERVICE.md, "/v1/watch"): one request document
 // opens an incremental re-analysis session over a trajectory of operating
@@ -15,6 +19,20 @@ import "fepia/internal/core"
 type WatchRequest struct {
 	System File        `json:"system"`
 	Points [][]float64 `json:"points"`
+}
+
+// DecodeWatchRequest decodes a WatchRequest body. A malformed document
+// is a document-level *ValidationError ("malformed JSON: ..."); the
+// system and trajectory are not validated here.
+func DecodeWatchRequest(data []byte) (WatchRequest, error) {
+	req, ok := decodeWatch(data)
+	if !ok {
+		req = WatchRequest{} // the fast path may have filled it partway
+		if err := json.Unmarshal(data, &req); err != nil {
+			return WatchRequest{}, malformed(err)
+		}
+	}
+	return req, nil
 }
 
 // WatchFrame is one streamed step: the operating point analysed, the
