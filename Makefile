@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lintdoc checklinks bench microbench report tier1 tier2 serve loadtest fuzz chaos smoke perfcheck
+.PHONY: all build test race vet lint fmtcheck lintdoc checklinks bench microbench report tier1 tier2 serve loadtest fuzz chaos smoke perfcheck
 
 all: tier1
 
@@ -13,14 +13,24 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint: go vet and the exported-identifier doc-comment audit always;
-# staticcheck when installed (CI installs it, local runs skip it
-# gracefully rather than demand a tool download).
-lint: vet lintdoc
+# lint: go vet, the gofmt check and the exported-identifier doc-comment
+# audit always; staticcheck when installed (CI installs it, local runs
+# skip it gracefully rather than demand a tool download).
+lint: vet fmtcheck lintdoc
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
 		echo "lint: staticcheck not installed, skipping (go vet ran)"; \
+	fi
+
+# fmtcheck: fail when gofmt would rewrite any Go file in the repository,
+# listing the files.
+fmtcheck:
+	@out="$$(gofmt -l .)"; \
+	if [ -n "$$out" ]; then \
+		echo "fmtcheck: gofmt -l lists files that are not gofmt-clean:"; \
+		echo "$$out"; \
+		exit 1; \
 	fi
 
 # lintdoc: fail when an exported identifier in the audited packages
@@ -80,7 +90,9 @@ endif
 # (FuzzParse, FuzzParseBatch, FuzzWatchRequest: the fast path must agree
 # with encoding/json on verdict, value and error bytes), the response
 # encoder (FuzzAppendResult: byte-identical to json.Encoder), the
-# retryable-error classifier, and the cache-snapshot decoder.
+# retryable-error classifier, the cache-snapshot decoder, and the peer
+# trace decoders (FuzzParseTraceHeader for X-Fepiad-Trace,
+# FuzzStitchSpans for the X-Fepiad-Spans export stitched into a trace).
 fuzz:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/spec
 	$(GO) test -fuzz='^FuzzParseBatch$$' -fuzztime=30s ./internal/spec
@@ -88,6 +100,8 @@ fuzz:
 	$(GO) test -fuzz='^FuzzAppendResult$$' -fuzztime=30s ./internal/spec
 	$(GO) test -fuzz=FuzzRetryable -fuzztime=30s ./internal/faults
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/batch
+	$(GO) test -fuzz='^FuzzParseTraceHeader$$' -fuzztime=30s ./internal/obs
+	$(GO) test -fuzz='^FuzzStitchSpans$$' -fuzztime=30s ./internal/server
 
 # chaos: the seeded fault-injection suite under the race detector —
 # injected errors/panics/latency/cancels through the batch engine, the

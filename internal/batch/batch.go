@@ -244,12 +244,14 @@ func AnalyzeOneContext(ctx context.Context, job Job, opts Options) (core.Analysi
 // records a per-feature solve span carrying the retry attempts the
 // policy spent; on an untraced one the instrumentation is a no-op.
 func solveFeature(ctx context.Context, idx int, f core.Feature, p core.Perturbation, copts core.Options, opts Options) (core.RadiusResult, error) {
-	sp := obs.StartSpan(ctx, "solve").Set("feature", f.Name)
-	if sp != nil {
-		sp.Set("feature_index", strconv.Itoa(idx))
+	tr := obs.TraceFrom(ctx)
+	sp := tr.StartSpan("solve").Set("feature", f.Name).SetInt("feature_index", idx)
+	if tr != nil {
 		// Traced requests also label their profile samples per feature,
 		// so a CPU profile of a slow request names the feature that burned
-		// the time. Untraced requests skip the label copy.
+		// the time — features past the trace's span cap included, since
+		// the label follows the request, not the kept span. Untraced
+		// requests skip the label copy.
 		defer pprof.SetGoroutineLabels(ctx)
 		pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("feature", f.Name)))
 	}

@@ -69,7 +69,7 @@ func TestShardStatsMergeExact(t *testing.T) {
 	p := core.Perturbation{Name: "π", Orig: []float64{1, 2}}
 	features := make([]core.Feature, k)
 	for i := range features {
-		features[i] = linFeature(t, fmt.Sprintf("F%d", i), []float64{1 + float64(i), 1}, float64(10 + i))
+		features[i] = linFeature(t, fmt.Sprintf("F%d", i), []float64{1 + float64(i), 1}, float64(10+i))
 	}
 	for _, f := range features {
 		if _, err := c.Radius(f, p, core.Options{}); err != nil {
@@ -152,9 +152,9 @@ func TestCacheShardClamping(t *testing.T) {
 		capacity, shards int
 		wantShards       int
 	}{
-		{16, 3, 4},   // rounds up to a power of two
-		{2, 64, 2},   // clamped: no more shards than entries
-		{1, 8, 1},    // degenerate single-entry cache
+		{16, 3, 4},    // rounds up to a power of two
+		{2, 64, 2},    // clamped: no more shards than entries
+		{1, 8, 1},     // degenerate single-entry cache
 		{100, 16, 16}, // ceil(100/16)=7 per shard, effective capacity 112
 	} {
 		c := NewCacheSharded(tc.capacity, tc.shards)

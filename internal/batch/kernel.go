@@ -2,7 +2,6 @@ package batch
 
 import (
 	"context"
-	"strconv"
 
 	"fepia/internal/core"
 	"fepia/internal/faults"
@@ -95,10 +94,9 @@ func kernelSolve(ctx context.Context, job Job, copts core.Options, opts Options,
 	if rs != nil && hits > 0 {
 		rs.Hits.Add(uint64(hits))
 	}
-	sp.Set("cache_hits", strconv.Itoa(hits))
+	sp.SetInt("cache_hits", hits)
 	if len(cold) == 0 {
-		sp.Set("features", "0")
-		sp.Set("fallback", "0")
+		sp.SetInt("features", 0).SetInt("fallback", 0)
 		sp.End(nil)
 		return solved
 	}
@@ -143,8 +141,7 @@ func kernelSolve(ctx context.Context, job Job, copts core.Options, opts Options,
 	if rs != nil && sweptN > 0 {
 		rs.Kernel.Add(uint64(sweptN))
 	}
-	sp.Set("features", strconv.Itoa(sweptN))
-	sp.Set("fallback", strconv.Itoa(len(fallback)))
+	sp.SetInt("features", sweptN).SetInt("fallback", len(fallback))
 	sp.End(nil)
 	return solved
 }

@@ -9,11 +9,13 @@ import (
 
 // BenchmarkAnalyzeOneObs prices the observability instrumentation on the
 // engine's warm path (every radius served from the cache, so the obs
-// plumbing dominates). "untraced" is the production steady state —
-// StartSpan finds no trace in the context and every span call no-ops —
-// and must stay within a few percent of the pre-instrumentation engine.
-// "traced" records the full per-feature span set the way a request with
-// an X-Request-Id does, and prices what /debug/traces retention costs.
+// plumbing dominates). "untraced" is the engine with no trace in the
+// context — library callers and cmd/bench — where StartSpan finds no
+// trace and every span call no-ops; it must stay within a few percent of
+// the pre-instrumentation engine. fepiad traces every request, so its
+// steady state is "traced": the full per-feature span set, sealed into a
+// trace ring the way the server's instrument middleware does, without
+// rendering (the ring renders only when /debug/traces is read).
 //
 // Pin (docs/OBSERVABILITY.md, min-of-10): "untraced" must stay within
 // +2% of the 4.20µs/op pre-instrumentation seed — 4.23µs/op ceiling —
@@ -78,7 +80,8 @@ func BenchmarkAnalyzeOneObs(b *testing.B) {
 			if _, err := AnalyzeOneContext(tctx, jobs[i%len(jobs)], opts); err != nil {
 				b.Fatal(err)
 			}
-			ring.Add(tr.Finish(200))
+			tr.Seal(200, false)
+			ring.Add(tr, false)
 		}
 	})
 	b.Run("traced_remote", func(b *testing.B) {
@@ -98,7 +101,8 @@ func BenchmarkAnalyzeOneObs(b *testing.B) {
 			if len(tr.ExportSpans("bench-node", 64)) == 0 {
 				b.Fatal("empty span export")
 			}
-			ring.Add(tr.Finish(200))
+			tr.Seal(200, false)
+			ring.Add(tr, false)
 		}
 	})
 }

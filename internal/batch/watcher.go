@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 
 	"fepia/internal/core"
 	"fepia/internal/faults"
@@ -231,12 +230,11 @@ func (w *Watcher) Step(ctx context.Context, next []float64) (StepResult, error) 
 			w.prevBits[i] = math.Float64bits(w.kout[j].Radius)
 			w.prevKind[i] = w.kout[j].Kind
 		}
-		if sp := obs.StartSpan(ctx, "kernel_delta"); sp != nil {
-			sp.Set("features", strconv.Itoa(len(w.kidx)-len(fallback)))
-			sp.Set("changed", strconv.Itoa(len(w.changed)))
-			sp.Set("fallback", strconv.Itoa(len(fallback)))
-			sp.End(nil)
-		}
+		obs.StartSpan(ctx, "kernel_delta").
+			SetInt("features", len(w.kidx)-len(fallback)).
+			SetInt("changed", len(w.changed)).
+			SetInt("fallback", len(fallback)).
+			End(nil)
 	}
 
 	// Scalar features every step; kernel NaN-fallback features whenever

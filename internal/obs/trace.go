@@ -1,19 +1,24 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // maxSpansPerTrace bounds one trace's span list so a pathological batch
-// (thousands of features) cannot balloon the ring; overflow is counted
-// in TraceData.SpansDropped.
+// (thousands of features) cannot balloon the ring. The cap applies when
+// a span starts: a trace keeps its first maxSpansPerTrace spans and
+// counts the rest in TraceData.SpansDropped.
 const maxSpansPerTrace = 512
 
 // NewID returns a 16-hex-char request ID. It never fails: if the system
@@ -92,6 +97,10 @@ func isHex16(s string) bool {
 // reads as a timeline. SpanID/ParentID place the span in the cross-node
 // tree: local spans hang off the trace's root span, a forwarded
 // request's remote spans hang off the ingress forward span.
+//
+// SpanData is the wire form only. A trace records its spans compactly
+// and builds SpanData when it is read (TraceRing.Snapshot, ExportSpans,
+// Finish); it is also the input Stitch takes from a peer.
 type SpanData struct {
 	Name       string            `json:"name"`
 	SpanID     string            `json:"span_id,omitempty"`
@@ -121,17 +130,18 @@ type TraceData struct {
 	Attrs        map[string]string `json:"attrs,omitempty"`
 	Spans        []SpanData        `json:"spans"`
 	SpansDropped int               `json:"spans_dropped,omitempty"`
-
-	// SkipSlowest excludes this trace from the slowest-ever retention
-	// list (shed 503s record near-zero durations and must not occupy
-	// outlier slots). Never serialized.
-	SkipSlowest bool `json:"-"`
 }
 
 // Trace accumulates the spans of one in-flight request. Create one with
-// NewTrace, attach it to the request context with WithTrace, and seal it
-// with Finish. All methods are safe for concurrent use — batch workers
-// append spans to the same trace from many goroutines.
+// NewTrace, attach it to the request context with WithTrace, and close
+// it with Seal (or Finish, which also renders it). All methods are safe
+// for concurrent use — batch workers append spans to the same trace from
+// many goroutines.
+//
+// Spans are stored compactly: one fixed-layout record per finished span
+// and its attributes in a per-trace arena, with no map and no hex ID
+// until the trace is read. The span cap is enforced when a span starts,
+// so a span past it costs nothing.
 type Trace struct {
 	id       string
 	endpoint string
@@ -140,12 +150,50 @@ type Trace struct {
 	parent   string // remote parent span ID ("" when this node is the ingress)
 	start    time.Time
 	idBase   uint64
-	seq      atomic.Uint64
+	// started counts the spans StartSpan opened and Stitch offered; the
+	// ones past maxSpansPerTrace are refused and counted as dropped.
+	started atomic.Int64
 
-	mu      sync.Mutex
-	spans   []SpanData
+	mu     sync.Mutex
+	spans  []spanRec  // finished spans, in the order they ended
+	attrs  []spanAttr // span attribute arena; spanRec.attrLo/attrHi index it
+	remote []SpanData // stitched peer spans, kept as received (start shifted)
+	tattrs []Label    // trace-level attributes, one per key
+	sealed bool
+	// Set by Seal.
+	status  int
+	durUS   int64
+	slow    bool
 	dropped int
-	attrs   map[string]string
+}
+
+// spanRec is one finished span. A stitched peer span is only a start
+// offset plus an index into Trace.remote.
+type spanRec struct {
+	name           string
+	err            string
+	id             uint64
+	startUS        int64
+	durUS          int64
+	retries        int32
+	attrLo, attrHi int32
+	remote         int32 // 1 + index into Trace.remote; 0 for a local span
+}
+
+// spanAttr is one span attribute: a string, or an integer rendered only
+// when the trace is read.
+type spanAttr struct {
+	key   string
+	str   string
+	num   int64
+	isInt bool
+}
+
+func (a *spanAttr) value() string {
+	if a.isInt {
+		return strconv.FormatInt(a.num, 10)
+	}
+	return a.str
 }
 
 // NewTrace starts a trace for one request. id is the request ID
@@ -191,25 +239,37 @@ func (t *Trace) RootSpanID() string { return t.rootID }
 // another node (it was built from a valid X-Fepiad-Trace header).
 func (t *Trace) Remote() bool { return t.parent != "" }
 
-// nextSpanID allocates a span ID unique within the trace: sequential
-// offsets from the random per-trace base, so one entropy read covers
-// every span.
-func (t *Trace) nextSpanID() string {
-	return spanIDString(t.idBase + t.seq.Add(1))
-}
-
 // SetAttr records a trace-level attribute (outcome, degraded, breaker
-// state, …); the access logger and /debug/traces both surface it.
+// state, …); the access logger and /debug/traces both surface it. The
+// last write of a key wins.
 func (t *Trace) SetAttr(key, value string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if t.attrs == nil {
-		t.attrs = make(map[string]string, 4)
+	defer t.mu.Unlock()
+	for i := range t.tattrs {
+		if t.tattrs[i].Name == key {
+			t.tattrs[i].Value = value
+			return
+		}
 	}
-	t.attrs[key] = value
-	t.mu.Unlock()
+	t.tattrs = append(t.tattrs, Label{Name: key, Value: value})
+}
+
+// Attr returns one trace-level attribute, or "" when it is unset.
+func (t *Trace) Attr(key string) string {
+	if t == nil {
+		return ""
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, l := range t.tattrs {
+		if l.Name == key {
+			return l.Value
+		}
+	}
+	return ""
 }
 
 // Attrs returns a sorted copy of the trace-level attributes as key/value
@@ -219,24 +279,10 @@ func (t *Trace) Attrs() []Label {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]Label, 0, len(t.attrs))
-	for k, v := range t.attrs {
-		out = append(out, Label{Name: k, Value: v})
-	}
+	out := append([]Label(nil), t.tattrs...)
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b Label) int { return strings.Compare(a.Name, b.Name) })
 	return out
-}
-
-// add appends one finished span.
-func (t *Trace) add(sd SpanData) {
-	t.mu.Lock()
-	if len(t.spans) >= maxSpansPerTrace {
-		t.dropped++
-	} else {
-		t.spans = append(t.spans, sd)
-	}
-	t.mu.Unlock()
 }
 
 // Stitch merges spans exported by a remote node into this trace — the
@@ -249,13 +295,22 @@ func (t *Trace) Stitch(spans []SpanData, offsetUS int64) {
 	if t == nil {
 		return
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.sealed {
+		return
+	}
 	for _, sd := range spans {
+		if t.started.Add(1) > maxSpansPerTrace {
+			continue
+		}
 		sd.StartUS += offsetUS
-		t.add(sd)
+		t.remote = append(t.remote, sd)
+		t.spans = append(t.spans, spanRec{startUS: sd.StartUS, remote: int32(len(t.remote))})
 	}
 }
 
-// ExportSpans snapshots the spans recorded so far — the forwarded-to
+// ExportSpans renders the spans recorded so far — the forwarded-to
 // node's side of cross-node tracing — prepended with a synthetic
 // "server" span (the trace's root, parented under the ingress forward
 // span) so the ingress stitches a rooted subtree. The list is sorted by
@@ -264,49 +319,114 @@ func (t *Trace) ExportSpans(node string, limit int) []SpanData {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	spans := append([]SpanData(nil), t.spans...)
-	t.mu.Unlock()
-	sort.SliceStable(spans, func(i, j int) bool { return spans[i].StartUS < spans[j].StartUS })
-	if limit > 0 && len(spans) > limit-1 {
-		spans = spans[:limit-1]
-	}
 	root := SpanData{
 		Name:       "server",
 		SpanID:     t.rootID,
 		ParentID:   t.parent,
-		StartUS:    0,
 		DurationUS: time.Since(t.start).Microseconds(),
 		Attrs:      map[string]string{"node": node, "endpoint": t.endpoint},
 	}
-	return append([]SpanData{root}, spans...)
+	n := -1
+	if limit > 0 {
+		n = limit - 1
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.appendSpansLocked([]SpanData{root}, n)
+}
+
+// Seal closes the trace with the response status without rendering it:
+// the compact records stay as they are until a reader asks for the
+// document. slow marks a slow-threshold capture (TraceData.Slow). Spans
+// that end or are stitched after Seal are ignored, and the first Seal
+// wins.
+func (t *Trace) Seal(status int, slow bool) {
+	d := time.Since(t.start)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.sealed {
+		return
+	}
+	t.sealed = true
+	t.status, t.durUS, t.slow = status, d.Microseconds(), slow
+	if over := t.started.Load() - maxSpansPerTrace; over > 0 {
+		t.dropped = int(over)
+	}
 }
 
 // Finish seals the trace with the response status and returns the
 // finished document. Spans are sorted by start offset so concurrent
 // workers' spans read as a timeline.
 func (t *Trace) Finish(status int) TraceData {
-	d := time.Since(t.start)
+	t.Seal(status, false)
+	return t.data()
+}
+
+// data renders the trace document from the compact records.
+func (t *Trace) data() TraceData {
 	t.mu.Lock()
-	spans := t.spans
-	t.spans = nil
-	attrs := t.attrs
-	dropped := t.dropped
-	t.mu.Unlock()
-	sort.SliceStable(spans, func(i, j int) bool { return spans[i].StartUS < spans[j].StartUS })
-	return TraceData{
+	defer t.mu.Unlock()
+	td := TraceData{
 		ID:           t.id,
 		TraceID:      t.traceID,
 		SpanID:       t.rootID,
 		ParentID:     t.parent,
 		Endpoint:     t.endpoint,
 		Start:        t.start,
-		DurationUS:   d.Microseconds(),
-		Status:       status,
-		Attrs:        attrs,
-		Spans:        spans,
-		SpansDropped: dropped,
+		DurationUS:   t.durUS,
+		Status:       t.status,
+		Slow:         t.slow,
+		Spans:        t.appendSpansLocked(nil, -1),
+		SpansDropped: t.dropped,
 	}
+	if len(t.tattrs) > 0 {
+		td.Attrs = make(map[string]string, len(t.tattrs))
+		for _, l := range t.tattrs {
+			td.Attrs[l.Name] = l.Value
+		}
+	}
+	return td
+}
+
+// appendSpansLocked renders up to limit spans (<0: all) onto dst in
+// start order; spans that start in the same microsecond keep the order
+// they ended in. The records are sorted in place: a stable sort of an
+// already sorted prefix plus later appends yields the same order as
+// sorting the insertion order once. Call with t.mu held.
+func (t *Trace) appendSpansLocked(dst []SpanData, limit int) []SpanData {
+	slices.SortStableFunc(t.spans, func(a, b spanRec) int { return cmp.Compare(a.startUS, b.startUS) })
+	recs := t.spans
+	if limit >= 0 && len(recs) > limit {
+		recs = recs[:limit]
+	}
+	if len(recs) == 0 {
+		return dst
+	}
+	dst = slices.Grow(dst, len(recs))
+	for i := range recs {
+		r := &recs[i]
+		if r.remote > 0 {
+			dst = append(dst, t.remote[r.remote-1])
+			continue
+		}
+		sd := SpanData{
+			Name:       r.name,
+			SpanID:     spanIDString(r.id),
+			ParentID:   t.rootID,
+			StartUS:    r.startUS,
+			DurationUS: r.durUS,
+			Error:      r.err,
+			Retries:    int(r.retries),
+		}
+		if r.attrHi > r.attrLo {
+			sd.Attrs = make(map[string]string, r.attrHi-r.attrLo)
+			for j := r.attrLo; j < r.attrHi; j++ {
+				sd.Attrs[t.attrs[j].key] = t.attrs[j].value()
+			}
+		}
+		dst = append(dst, sd)
+	}
+	return dst
 }
 
 // traceKey carries the context's trace.
@@ -328,26 +448,42 @@ func TraceFrom(ctx context.Context) *Trace {
 }
 
 // Span is an in-flight pipeline-stage span. A nil *Span (from an
-// untraced context) is valid and every method is a no-op, so
-// instrumentation sites never branch on whether tracing is active.
+// untraced context, or a trace already holding maxSpansPerTrace spans)
+// is valid and every method is a no-op, so instrumentation sites never
+// branch on whether tracing is active.
 type Span struct {
 	trace   *Trace
 	name    string
-	id      string
-	start   time.Time
+	id      uint64
+	startNS int64 // offset from the trace start, monotonic
 	retries int
-	attrs   map[string]string
+	attrs   []spanAttr // backed by inline until a third key
+	inline  [2]spanAttr
 }
 
 // StartSpan opens a span named after a pipeline stage (parse, admit,
 // breaker, cache_get, solve, encode, …) on the context's trace; it
-// returns nil — a no-op span — when the context is untraced.
+// returns nil — a no-op span — when the context is untraced or the
+// trace is full.
 func StartSpan(ctx context.Context, name string) *Span {
-	t := TraceFrom(ctx)
+	return TraceFrom(ctx).StartSpan(name)
+}
+
+// StartSpan opens a span on t. It returns nil — a no-op span — on a nil
+// trace and once maxSpansPerTrace spans have started: the span is
+// counted in spans_dropped and costs no allocation. So the spans a full
+// trace keeps are the first ones started.
+func (t *Trace) StartSpan(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{trace: t, name: name, id: t.nextSpanID(), start: time.Now()}
+	n := t.started.Add(1)
+	if n > maxSpansPerTrace {
+		return nil
+	}
+	s := &Span{trace: t, name: name, id: t.idBase + uint64(n), startNS: int64(time.Since(t.start))}
+	s.attrs = s.inline[:0]
+	return s
 }
 
 // ID returns the span's ID (16 hex chars), or "" on a nil span. The
@@ -357,7 +493,7 @@ func (s *Span) ID() string {
 	if s == nil {
 		return ""
 	}
-	return s.id
+	return spanIDString(s.id)
 }
 
 // StartOffsetUS returns the span's start offset on its trace's
@@ -367,19 +503,36 @@ func (s *Span) StartOffsetUS() int64 {
 	if s == nil {
 		return 0
 	}
-	return s.start.Sub(s.trace.start).Microseconds()
+	return s.startNS / int64(time.Microsecond)
 }
 
-// Set records a span attribute and returns the span for chaining.
+// Set records a span attribute and returns the span for chaining. The
+// last write of a key wins.
 func (s *Span) Set(key, value string) *Span {
-	if s == nil {
-		return nil
+	if s != nil {
+		s.put(spanAttr{key: key, str: value})
 	}
-	if s.attrs == nil {
-		s.attrs = make(map[string]string, 4)
-	}
-	s.attrs[key] = value
 	return s
+}
+
+// SetInt records an integer span attribute, rendered in decimal when the
+// trace is read, and returns the span for chaining. It shares Set's
+// keys: the last write of a key wins whichever of the two made it.
+func (s *Span) SetInt(key string, v int) *Span {
+	if s != nil {
+		s.put(spanAttr{key: key, num: int64(v), isInt: true})
+	}
+	return s
+}
+
+func (s *Span) put(a spanAttr) {
+	for i := range s.attrs {
+		if s.attrs[i].key == a.key {
+			s.attrs[i] = a
+			return
+		}
+	}
+	s.attrs = append(s.attrs, a)
 }
 
 // AddRetries adds n to the span's retry-attempt count (per-feature solve
@@ -390,44 +543,52 @@ func (s *Span) AddRetries(n int) {
 	}
 }
 
-// End seals the span onto its trace; err, when non-nil, is recorded on
-// the span.
+// End records the span onto its trace; err, when non-nil, is recorded
+// on the span. A span ending after its trace is sealed is ignored.
 func (s *Span) End(err error) {
 	if s == nil {
 		return
 	}
-	sd := SpanData{
-		Name:       s.name,
-		SpanID:     s.id,
-		ParentID:   s.trace.rootID,
-		StartUS:    s.start.Sub(s.trace.start).Microseconds(),
-		DurationUS: time.Since(s.start).Microseconds(),
-		Retries:    s.retries,
-		Attrs:      s.attrs,
+	t := s.trace
+	endNS := int64(time.Since(t.start))
+	r := spanRec{
+		name:    s.name,
+		id:      s.id,
+		startUS: s.startNS / int64(time.Microsecond),
+		durUS:   (endNS - s.startNS) / int64(time.Microsecond),
+		retries: int32(s.retries),
 	}
 	if err != nil {
-		sd.Error = err.Error()
+		r.err = err.Error()
 	}
-	s.trace.add(sd)
+	t.mu.Lock()
+	if !t.sealed {
+		r.attrLo = int32(len(t.attrs))
+		t.attrs = append(t.attrs, s.attrs...)
+		r.attrHi = int32(len(t.attrs))
+		t.spans = append(t.spans, r)
+	}
+	t.mu.Unlock()
 }
 
-// TraceRing retains finished traces two ways: a ring of the most recent
+// TraceRing retains sealed traces two ways: a ring of the most recent
 // N, and the slowest N seen since the process started — the requests a
 // post-mortem actually wants. Both lists are bounded, so memory is fixed
-// no matter the traffic. Safe for concurrent use; Add takes one short
-// lock per finished request, never on the request hot path.
+// no matter the traffic. Traces are kept in their compact form and
+// rendered only by Snapshot. Safe for concurrent use; Add takes one
+// short lock per finished request, never on the request hot path.
 //
 // Retention-side sampling (SetSample) thins the recent ring under heavy
-// traffic: 1-in-N traces are kept, except traces marked Slow, which
+// traffic: 1-in-N traces are kept, except traces sealed as slow, which
 // bypass sampling entirely (slow-request capture). The slowest-ever
-// list ignores sampling but honors TraceData.SkipSlowest, so shed 503s
-// with near-zero durations never evict genuine outliers.
+// list ignores sampling but honors Add's skipSlowest, so shed 503s with
+// near-zero durations never evict genuine outliers.
 type TraceRing struct {
 	mu      sync.Mutex
-	recent  []TraceData // ring buffer
-	next    int         // write position
+	recent  []*Trace // ring buffer
+	next    int      // write position
 	filled  bool
-	slowest []TraceData // sorted by DurationUS descending, ≤ slowCap
+	slowest []*Trace // sorted by duration descending, ≤ slowCap
 	slowCap int
 	sample  int
 	total   uint64
@@ -440,7 +601,7 @@ func NewTraceRing(capacity int) *TraceRing {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &TraceRing{recent: make([]TraceData, capacity), slowCap: capacity, sample: 1}
+	return &TraceRing{recent: make([]*Trace, capacity), slowCap: capacity, sample: 1}
 }
 
 // SetSample keeps 1-in-n traces in the recent ring (n ≤ 1 keeps all).
@@ -454,29 +615,30 @@ func (r *TraceRing) SetSample(n int) {
 	r.mu.Unlock()
 }
 
-// Add records one finished trace.
-func (r *TraceRing) Add(td TraceData) {
+// Add records one sealed trace. skipSlowest keeps it out of the
+// slowest-ever list.
+func (r *TraceRing) Add(t *Trace, skipSlowest bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
-	if r.sample <= 1 || td.Slow || (r.total-1)%uint64(r.sample) == 0 {
-		r.recent[r.next] = td
+	if r.sample <= 1 || t.slow || (r.total-1)%uint64(r.sample) == 0 {
+		r.recent[r.next] = t
 		r.next++
 		if r.next == len(r.recent) {
 			r.next, r.filled = 0, true
 		}
 	}
-	if td.SkipSlowest {
+	if skipSlowest {
 		return
 	}
 	// Insertion-sort into the slowest list (small, fixed capacity).
-	i := sort.Search(len(r.slowest), func(i int) bool { return r.slowest[i].DurationUS < td.DurationUS })
+	i := sort.Search(len(r.slowest), func(i int) bool { return r.slowest[i].durUS < t.durUS })
 	if i < r.slowCap {
 		if len(r.slowest) < r.slowCap {
-			r.slowest = append(r.slowest, TraceData{})
+			r.slowest = append(r.slowest, nil)
 		}
 		copy(r.slowest[i+1:], r.slowest[i:])
-		r.slowest[i] = td
+		r.slowest[i] = t
 	}
 }
 
@@ -492,15 +654,15 @@ type RingSnapshot struct {
 	Slowest []TraceData `json:"slowest"`
 }
 
-// Snapshot copies both retention lists.
+// Snapshot renders both retention lists. The ring lock covers only the
+// copy of the trace pointers; rendering happens outside it.
 func (r *TraceRing) Snapshot() RingSnapshot {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	n := r.next
 	if r.filled {
 		n = len(r.recent)
 	}
-	recent := make([]TraceData, 0, n)
+	recent := make([]*Trace, 0, n)
 	for i := 0; i < n; i++ {
 		// Walk backwards from the last write so the list is newest-first.
 		j := r.next - 1 - i
@@ -509,10 +671,19 @@ func (r *TraceRing) Snapshot() RingSnapshot {
 		}
 		recent = append(recent, r.recent[j])
 	}
-	return RingSnapshot{
-		Capacity: len(r.recent),
-		Total:    r.total,
-		Recent:   recent,
-		Slowest:  append([]TraceData(nil), r.slowest...),
+	slowest := append([]*Trace(nil), r.slowest...)
+	snap := RingSnapshot{Capacity: len(r.recent), Total: r.total}
+	r.mu.Unlock()
+
+	snap.Recent = make([]TraceData, len(recent))
+	for i, t := range recent {
+		snap.Recent[i] = t.data()
 	}
+	if len(slowest) > 0 {
+		snap.Slowest = make([]TraceData, len(slowest))
+		for i, t := range slowest {
+			snap.Slowest[i] = t.data()
+		}
+	}
+	return snap
 }

@@ -1,0 +1,212 @@
+package obs
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestTraceDocumentGolden pins the rendered trace document: a trace
+// recorded through the compact span store marshals to exactly the JSON
+// of a hand-built TraceData. It covers Set overwrite, SetInt (and Set
+// and SetInt sharing keys), an error, retries, stitched remote spans,
+// trace-level attribute overwrite, and ties on equal start_us, which
+// keep the order the spans ended in.
+func TestTraceDocumentGolden(t *testing.T) {
+	tr := NewTraceRemote("req-g", "analyze", "0123456789abcdef", "fedcba9876543210")
+	tr.idBase = 0x1000
+	tr.rootID = spanIDString(tr.idBase)
+	ctx := WithTrace(context.Background(), tr)
+
+	// Span IDs are idBase plus the span's place in start order.
+	StartSpan(ctx, "parse").End(nil) // 0x1001
+	solve := StartSpan(ctx, "solve") // 0x1002
+	solve.Set("feature", "old").Set("feature", "f1").SetInt("feature_index", 3)
+	solve.SetInt("kind", 9).Set("kind", "exact")
+	solve.AddRetries(2)
+	StartSpan(ctx, "cache_get").Set("hit", "true").End(nil) // 0x1003
+	solve.End(errors.New("injected"))
+	fwd := StartSpan(ctx, "forward").Set("peer", "b").SetInt("attempts", 2) // 0x1004
+	fwd.End(nil)
+	remote := []SpanData{
+		{Name: "server", SpanID: "00000000000000aa", ParentID: fwd.ID(), StartUS: 0, DurationUS: 30,
+			Attrs: map[string]string{"node": "b", "endpoint": "analyze"}},
+		{Name: "solve", SpanID: "00000000000000ab", ParentID: "00000000000000aa", StartUS: 4, DurationUS: 20,
+			Retries: 1, Error: "remote", Attrs: map[string]string{"feature": "f2", "feature_index": "-1"}},
+	}
+	tr.Stitch(remote, 40)                                 // 0x1005, 0x1006 keep their peer IDs
+	StartSpan(ctx, "encode").SetInt("bytes", -7).End(nil) // 0x1007
+	tr.SetAttr("outcome", "ok")
+	tr.SetAttr("outcome", "error")
+	tr.SetAttr("anytime", "partial")
+	tr.Seal(500, true)
+
+	// Pin the clock-derived fields: the start, the duration and each
+	// local record's offsets. Records are in End order: parse, cache_get,
+	// solve, forward, the two stitched spans, encode.
+	tr.start = time.Date(2026, 1, 2, 3, 4, 5, 6000, time.UTC)
+	tr.durUS = 100
+	for i, at := range [][2]int64{{0, 5}, {10, 3}, {10, 20}, {35, 50}, {}, {}, {90, 8}} {
+		if tr.spans[i].remote == 0 {
+			tr.spans[i].startUS, tr.spans[i].durUS = at[0], at[1]
+		}
+	}
+
+	root := "0000000000001000"
+	want := TraceData{
+		ID: "req-g", TraceID: "0123456789abcdef", SpanID: root, ParentID: "fedcba9876543210",
+		Endpoint: "analyze", Start: tr.start, DurationUS: 100, Status: 500, Slow: true,
+		Attrs: map[string]string{"outcome": "error", "anytime": "partial"},
+		Spans: []SpanData{
+			{Name: "parse", SpanID: "0000000000001001", ParentID: root, StartUS: 0, DurationUS: 5},
+			{Name: "cache_get", SpanID: "0000000000001003", ParentID: root, StartUS: 10, DurationUS: 3,
+				Attrs: map[string]string{"hit": "true"}},
+			{Name: "solve", SpanID: "0000000000001002", ParentID: root, StartUS: 10, DurationUS: 20,
+				Error: "injected", Retries: 2,
+				Attrs: map[string]string{"feature": "f1", "feature_index": "3", "kind": "exact"}},
+			{Name: "forward", SpanID: "0000000000001004", ParentID: root, StartUS: 35, DurationUS: 50,
+				Attrs: map[string]string{"peer": "b", "attempts": "2"}},
+			{Name: "server", SpanID: "00000000000000aa", ParentID: "0000000000001004", StartUS: 40, DurationUS: 30,
+				Attrs: map[string]string{"node": "b", "endpoint": "analyze"}},
+			{Name: "solve", SpanID: "00000000000000ab", ParentID: "00000000000000aa", StartUS: 44, DurationUS: 20,
+				Retries: 1, Error: "remote", Attrs: map[string]string{"feature": "f2", "feature_index": "-1"}},
+			{Name: "encode", SpanID: "0000000000001007", ParentID: root, StartUS: 90, DurationUS: 8,
+				Attrs: map[string]string{"bytes": "-7"}},
+		},
+	}
+	assertSameJSON(t, tr.Finish(200), want) // the first Seal's status stands
+	if remote[0].StartUS != 0 {
+		t.Fatal("Stitch shifted the caller's span slice in place")
+	}
+
+	// The export renders the same records behind the synthetic server
+	// span, capped.
+	exp := tr.ExportSpans("a", 3)
+	if len(exp) != 3 || exp[0].Name != "server" || exp[0].SpanID != root || exp[0].ParentID != "fedcba9876543210" {
+		t.Fatalf("export head wrong: %+v", exp)
+	}
+	assertSameJSON(t, exp[1:], want.Spans[:2])
+}
+
+func assertSameJSON(t *testing.T, got, want any) {
+	t.Helper()
+	g, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(g) != string(w) {
+		t.Fatalf("rendered document differs:\n got %s\nwant %s", g, w)
+	}
+}
+
+// TestTraceSealFreezes: spans ending or stitched after Seal are ignored,
+// so a rendered document never changes under a reader.
+func TestTraceSealFreezes(t *testing.T) {
+	tr := NewTrace("req-seal", "analyze")
+	ctx := WithTrace(context.Background(), tr)
+	late := StartSpan(ctx, "late")
+	StartSpan(ctx, "parse").End(nil)
+	tr.Seal(200, false)
+	late.End(nil)
+	tr.Stitch([]SpanData{{Name: "remote"}}, 0)
+	StartSpan(ctx, "after").End(nil)
+	before, _ := json.Marshal(tr.data())
+	after, _ := json.Marshal(tr.Finish(503))
+	if string(before) != string(after) || !strings.Contains(string(after), `"status":200`) {
+		t.Fatalf("sealed trace changed:\n%s\n%s", before, after)
+	}
+	if td := tr.data(); len(td.Spans) != 1 || td.Spans[0].Name != "parse" || td.SpansDropped != 0 {
+		t.Fatalf("sealed trace kept %+v", td)
+	}
+}
+
+// TestSpanAllocs: a span past the cap costs no allocation at all, and
+// Set, SetInt and End on a span within the cap allocate nothing once the
+// trace's record and attribute arenas have room — no per-span map.
+// StartSpan itself allocates exactly the span.
+func TestSpanAllocs(t *testing.T) {
+	tr := NewTrace("req-allocs", "batch")
+	ctx := WithTrace(context.Background(), tr)
+	tr.spans = make([]spanRec, 0, maxSpansPerTrace)
+	tr.attrs = make([]spanAttr, 0, 2*maxSpansPerTrace)
+
+	const runs = 100
+	spans := make([]*Span, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range spans {
+		spans[i] = StartSpan(ctx, "solve")
+	}
+	next := 0
+	if a := testing.AllocsPerRun(runs, func() {
+		sp := spans[next]
+		next++
+		sp.Set("feature", "f").SetInt("feature_index", next).Set("feature", "g")
+		sp.AddRetries(1)
+		sp.End(nil)
+	}); a != 0 {
+		t.Fatalf("Set/SetInt/End within the cap: %v allocs per span, want 0", a)
+	}
+	if a := testing.AllocsPerRun(runs, func() { StartSpan(ctx, "solve").End(nil) }); a != 1 {
+		t.Fatalf("StartSpan+End within the cap: %v allocs per span, want 1 (the span)", a)
+	}
+
+	for tr.started.Load() < maxSpansPerTrace {
+		StartSpan(ctx, "solve").End(nil)
+	}
+	errNever := errors.New("never rendered")
+	if a := testing.AllocsPerRun(runs, func() {
+		sp := StartSpan(ctx, "solve").Set("feature", "f").SetInt("feature_index", 1)
+		sp.AddRetries(1)
+		sp.End(errNever)
+	}); a != 0 {
+		t.Fatalf("span past the cap: %v allocs, want 0", a)
+	}
+	if td := tr.Finish(200); len(td.Spans) != maxSpansPerTrace || td.SpansDropped != runs+1 {
+		t.Fatalf("spans %d dropped %d, want %d / %d", len(td.Spans), td.SpansDropped, maxSpansPerTrace, runs+1)
+	}
+}
+
+// FuzzParseTraceHeader: every X-Fepiad-Trace value the parser accepts is
+// 33 bytes of lowercase hex around one dash at byte 16, and renders back
+// to itself through FormatTraceHeader.
+func FuzzParseTraceHeader(f *testing.F) {
+	for _, s := range []string{
+		"0123456789abcdef-fedcba9876543210",
+		"",
+		"0123456789ABCDEF-fedcba9876543210",
+		"0123456789abcdef_fedcba9876543210",
+		"0123456789abcdef-fedcba987654321g",
+		"x0123456789abcdef-fedcba987654321",
+		"0123456789abcdef--edcba9876543210",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		tid, pid, ok := ParseTraceHeader(v)
+		if !ok {
+			if tid != "" || pid != "" {
+				t.Fatalf("rejected %q but returned %q / %q", v, tid, pid)
+			}
+			return
+		}
+		if len(v) != 33 {
+			t.Fatalf("accepted %q of length %d", v, len(v))
+		}
+		for i := 0; i < len(v); i++ {
+			c := v[i]
+			hex := (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
+			if (i == 16) != (c == '-') || (i != 16 && !hex) {
+				t.Fatalf("accepted %q with byte %q at %d", v, c, i)
+			}
+		}
+		if got := FormatTraceHeader(tid, pid); got != v {
+			t.Fatalf("round trip of %q gave %q", v, got)
+		}
+	})
+}

@@ -84,17 +84,43 @@ func TestTraceConcurrentSpans(t *testing.T) {
 }
 
 // TestTraceSpanCap: overflow spans are dropped and counted, not
-// accumulated without bound.
+// accumulated without bound. The cap applies when a span starts: a full
+// trace keeps the first maxSpansPerTrace spans started — not the first
+// ended — refuses later ones as nil no-op spans, and counts every
+// refused span, stitched ones included, in spans_dropped.
 func TestTraceSpanCap(t *testing.T) {
 	tr := NewTrace("req-3", "batch")
 	ctx := WithTrace(context.Background(), tr)
-	for i := 0; i < maxSpansPerTrace+10; i++ {
+	first := StartSpan(ctx, "first") // started first, ended last
+	for i := 1; i < maxSpansPerTrace+10; i++ {
 		StartSpan(ctx, "solve").End(nil)
 	}
-	td := tr.Finish(200)
-	if len(td.Spans) != maxSpansPerTrace || td.SpansDropped != 10 {
-		t.Fatalf("spans %d dropped %d, want %d / 10", len(td.Spans), td.SpansDropped, maxSpansPerTrace)
+	if sp := StartSpan(ctx, "late"); sp != nil {
+		t.Fatal("StartSpan on a full trace returned a live span")
 	}
+	tr.Stitch([]SpanData{{Name: "remote"}, {Name: "remote"}}, 0)
+	first.End(nil)
+	td := tr.Finish(200)
+	// 10 solve spans, "late" and both remote spans found the trace full.
+	if len(td.Spans) != maxSpansPerTrace || td.SpansDropped != 13 {
+		t.Fatalf("spans %d dropped %d, want %d / 13", len(td.Spans), td.SpansDropped, maxSpansPerTrace)
+	}
+	names := map[string]int{}
+	for _, sd := range td.Spans {
+		names[sd.Name]++
+	}
+	if names["first"] != 1 || names["late"] != 0 || names["remote"] != 0 {
+		t.Fatalf("wrong survivors: %v", names)
+	}
+}
+
+// sealedTrace builds a sealed trace with a fixed duration, so the ring
+// tests can order traces without sleeping.
+func sealedTrace(id string, durUS int64, slow bool) *Trace {
+	t := NewTrace(id, "test")
+	t.Seal(200, slow)
+	t.durUS = durUS
+	return t
 }
 
 // TestTraceRingRetention: the recent list is newest-first and bounded;
@@ -102,7 +128,7 @@ func TestTraceSpanCap(t *testing.T) {
 func TestTraceRingRetention(t *testing.T) {
 	r := NewTraceRing(4)
 	for i := 1; i <= 10; i++ {
-		r.Add(TraceData{ID: fmt.Sprint(i), DurationUS: int64(i % 7)})
+		r.Add(sealedTrace(fmt.Sprint(i), int64(i%7), false), false)
 	}
 	s := r.Snapshot()
 	if s.Capacity != 4 || s.Total != 10 {
@@ -135,7 +161,7 @@ func TestTraceRingConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Add(TraceData{ID: fmt.Sprintf("%d-%d", w, i), DurationUS: int64(i)})
+				r.Add(sealedTrace(fmt.Sprintf("%d-%d", w, i), int64(i), false), false)
 				if i%20 == 0 {
 					_ = r.Snapshot()
 				}
@@ -320,10 +346,10 @@ func TestTraceExportCap(t *testing.T) {
 // and appearing in the recent ring.
 func TestTraceRingShedExclusion(t *testing.T) {
 	r := NewTraceRing(2)
-	r.Add(TraceData{ID: "slow-1", DurationUS: 9000})
-	r.Add(TraceData{ID: "slow-2", DurationUS: 8000})
+	r.Add(sealedTrace("slow-1", 9000, false), false)
+	r.Add(sealedTrace("slow-2", 8000, false), false)
 	for i := 0; i < 10; i++ {
-		r.Add(TraceData{ID: fmt.Sprintf("shed-%d", i), DurationUS: 3, SkipSlowest: true})
+		r.Add(sealedTrace(fmt.Sprintf("shed-%d", i), 3, false), true)
 	}
 	s := r.Snapshot()
 	if s.Total != 12 {
@@ -343,7 +369,7 @@ func TestTraceRingSampling(t *testing.T) {
 	r := NewTraceRing(8)
 	r.SetSample(4)
 	for i := 1; i <= 16; i++ {
-		r.Add(TraceData{ID: fmt.Sprint(i), DurationUS: int64(i)})
+		r.Add(sealedTrace(fmt.Sprint(i), int64(i), false), false)
 	}
 	s := r.Snapshot()
 	if s.Total != 16 {
@@ -358,7 +384,7 @@ func TestTraceRingSampling(t *testing.T) {
 	if len(s.Slowest) != 8 || s.Slowest[0].ID != "16" {
 		t.Fatalf("slowest list must ignore sampling: %+v", s.Slowest)
 	}
-	r.Add(TraceData{ID: "slow", DurationUS: 99, Slow: true})
+	r.Add(sealedTrace("slow", 99, true), false)
 	if s := r.Snapshot(); s.Recent[0].ID != "slow" {
 		t.Fatalf("slow trace did not bypass sampling: %+v", s.Recent[0])
 	}

@@ -454,18 +454,18 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		durMS := float64(d) / float64(time.Millisecond)
 		s.metrics.observe(endpoint, d, tr.TraceID())
 		s.metrics.slo.Record(endpoint, sw.status, durMS)
-		td := tr.Finish(sw.status)
-		if s.cfg.TraceSlowThreshold > 0 && d >= s.cfg.TraceSlowThreshold {
-			// Slow-request capture: force the trace past ring sampling and
-			// count it, so the outliers an SLO page is about are always
-			// inspectable on /debug/traces.
-			td.Slow = true
+		// Slow-request capture: force the trace past ring sampling and
+		// count it, so the outliers an SLO page is about are always
+		// inspectable on /debug/traces.
+		slow := s.cfg.TraceSlowThreshold > 0 && d >= s.cfg.TraceSlowThreshold
+		if slow {
 			s.metrics.slowReqs[endpoint].Inc()
 		}
-		// Shed 503s record near-zero durations; keeping them out of the
-		// slowest-ever list stops them from evicting genuine outliers.
-		td.SkipSlowest = td.Attrs["outcome"] == "shed"
-		s.metrics.traces.Add(td)
+		// The ring keeps the sealed trace compact; /debug/traces renders
+		// it. Shed 503s record near-zero durations; keeping them out of
+		// the slowest-ever list stops them from evicting genuine outliers.
+		tr.Seal(sw.status, slow)
+		s.metrics.traces.Add(tr, tr.Attr("outcome") == "shed")
 
 		attrs := []any{"status", sw.status, "duration_ms", durMS, "bytes", sw.bytes}
 		for _, a := range tr.Attrs() {
@@ -744,7 +744,7 @@ func (s *Server) relay(endpoint string, w http.ResponseWriter, r *http.Request, 
 	tr := obs.TraceFrom(r.Context())
 	resp, err := s.router.Forward(r.Context(), owner, path, body, s.forwardHeader(r, tr, sp))
 	if resp != nil {
-		sp.Set("attempts", strconv.Itoa(resp.Attempts))
+		sp.SetInt("attempts", resp.Attempts)
 	}
 	sp.Set("breaker", s.router.PeerStats(owner).Breaker.State)
 	sp.End(err)
@@ -1120,11 +1120,11 @@ func (s *Server) forwardSubBatch(ctx context.Context, r *http.Request, owner str
 	}
 	sp := obs.StartSpan(r.Context(), "forward")
 	sp.Set("peer", owner)
-	sp.Set("systems", strconv.Itoa(len(idx)))
+	sp.SetInt("systems", len(idx))
 	tr := obs.TraceFrom(r.Context())
 	resp, err := s.router.Forward(ctx, owner, "/v1/batch", body, s.forwardHeader(r, tr, sp))
 	if resp != nil {
-		sp.Set("attempts", strconv.Itoa(resp.Attempts))
+		sp.SetInt("attempts", resp.Attempts)
 	}
 	sp.Set("breaker", s.router.PeerStats(owner).Breaker.State)
 	sp.End(err)

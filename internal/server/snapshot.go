@@ -16,7 +16,6 @@ import (
 	"io/fs"
 	"net/http"
 	"os"
-	"strconv"
 	"time"
 
 	"fepia/internal/faults"
@@ -134,8 +133,7 @@ func (s *Server) writeSnapshot(ctx context.Context, reason string) {
 			_ = os.Remove(tmp)
 			return err
 		}
-		sp.Set("entries", strconv.Itoa(n))
-		sp.Set("bytes", strconv.Itoa(buf.Len()))
+		sp.SetInt("entries", n).SetInt("bytes", buf.Len())
 		s.metrics.snapWrites.Inc()
 		s.metrics.snapLastEntries.Set(float64(n))
 		s.metrics.snapLastBytes.Set(float64(buf.Len()))
@@ -155,5 +153,6 @@ func (s *Server) writeSnapshot(ctx context.Context, reason string) {
 			"entries", int64(s.metrics.snapLastEntries.Value()),
 			"bytes", int64(s.metrics.snapLastBytes.Value()))
 	}
-	s.metrics.traces.Add(tr.Finish(status))
+	tr.Seal(status, false)
+	s.metrics.traces.Add(tr, false)
 }

@@ -99,8 +99,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 	totalChanged := 0
 	for i, pt := range req.Points {
-		sp := obs.StartSpan(r.Context(), "watch_step")
-		sp.Set("step", strconv.Itoa(i+1))
+		sp := obs.StartSpan(r.Context(), "watch_step").SetInt("step", i+1)
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 		ctx = faults.With(ctx, s.cfg.Injector)
 		rs := &batch.RequestStats{}
@@ -119,7 +118,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			flush(flusher)
 			return
 		}
-		sp.Set("changed", strconv.Itoa(len(res.Changed)))
+		sp.SetInt("changed", len(res.Changed))
 		sp.End(nil)
 		s.metrics.watchSteps.Inc()
 		s.metrics.watchChangedRadii.Add(uint64(len(res.Changed)))

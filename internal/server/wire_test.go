@@ -24,19 +24,24 @@ const (
 	warmFeatures = 32
 )
 
-// warmShapeFile draws one analyze_warm request as perfbench generates it:
-// each feature has a sparse positive coefficient vector and is satisfied
-// at the operating point with a 30–130% margin to β^max; every other
-// feature also has a β^min.
+// warmShapeFile draws one analyze_warm request as perfbench generates it.
 func warmShapeFile(rng *rand.Rand, name string) spec.File {
-	orig := make([]float64, warmDim)
+	return linearShapeFile(rng, name, warmDim, warmFeatures)
+}
+
+// linearShapeFile draws one all-linear system as perfbench generates
+// them: each feature has a sparse positive coefficient vector and is
+// satisfied at the operating point with a 30–130% margin to β^max;
+// every other feature also has a β^min.
+func linearShapeFile(rng *rand.Rand, name string, dim, features int) spec.File {
+	orig := make([]float64, dim)
 	for i := range orig {
 		orig[i] = 1 + 9*rng.Float64()
 	}
 	f := spec.File{Name: name, Perturbation: spec.PerturbationSpec{Name: "lambda", Orig: orig}}
-	for k := 0; k < warmFeatures; k++ {
-		coeffs := make([]float64, warmDim)
-		coeffs[rng.Intn(warmDim)] = 0.5 + 1.5*rng.Float64()
+	for k := 0; k < features; k++ {
+		coeffs := make([]float64, dim)
+		coeffs[rng.Intn(dim)] = 0.5 + 1.5*rng.Float64()
 		for i := range coeffs {
 			if coeffs[i] == 0 && rng.Intn(3) == 0 {
 				coeffs[i] = 0.5 + 1.5*rng.Float64()
