@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmtcheck lintdoc checklinks bench microbench report tier1 tier2 serve loadtest fuzz chaos smoke perfcheck
+.PHONY: all build test race vet lint fmtcheck lintdoc checklinks bench microbench report reportcheck tier1 tier2 serve loadtest fuzz chaos smoke perfcheck
 
 all: tier1
 
@@ -69,6 +69,15 @@ microbench:
 
 report:
 	$(GO) run ./cmd/report
+
+# reportcheck: the reproduction gate. Regenerate the full report and
+# require it to equal the committed RESULTS.txt byte for byte (~5 s).
+# A difference is a finding about the solver or the Go toolchain, not a
+# cue to regenerate the file.
+reportcheck:
+	@out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/report > "$$out" || exit 1; \
+	diff -u RESULTS.txt "$$out" || { echo "reportcheck: go run ./cmd/report differs from RESULTS.txt"; exit 1; }
 
 # serve: run the fepiad HTTP robustness-analysis service on :8080
 # (see docs/SERVICE.md for the endpoint reference).

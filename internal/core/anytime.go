@@ -83,11 +83,8 @@ func ComputeRadiusAnytime(ctx context.Context, f Feature, p Perturbation, opts O
 	}
 
 	fi, isFunc := f.Impact.(*FuncImpact)
-	convex := isFunc && fi.Convex
-	obj := optimize.Objective{F: f.Impact.Eval}
-	if gi, ok := f.Impact.(GradImpact); ok {
-		obj.Grad = gi.Gradient
-	}
+	obj := objective(f.Impact)
+	convex := obj.Convex
 
 	sides := make([]anytimeSide, 0, 2)
 	for _, side := range []struct {

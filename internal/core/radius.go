@@ -240,10 +240,7 @@ func distanceToLevel(imp Impact, orig []float64, beta float64, opts Options) (fl
 	if _, ok := opts.Norm.(vecmath.L2); !ok {
 		return 0, nil, MethodNone, ErrNormUnsupported
 	}
-	obj := optimize.Objective{F: imp.Eval}
-	if gi, ok := imp.(GradImpact); ok {
-		obj.Grad = gi.Gradient
-	}
+	obj := objective(imp)
 	res, err := optimize.MinNormToLevelSet(obj, orig, beta, opts.Solver)
 	method := MethodConvex
 	if fi, ok := imp.(*FuncImpact); ok && !fi.Convex {
@@ -259,6 +256,21 @@ func distanceToLevel(imp Impact, orig []float64, beta float64, opts Options) (fl
 		return 0, nil, MethodNone, err
 	}
 	return res.Distance, res.X, method, nil
+}
+
+// objective adapts a non-linear impact to the minimum-norm solver: its
+// gradient when it supplies one, and its declared convexity. Both
+// ComputeRadius and ComputeRadiusAnytime build their objective here, so
+// the two run the same search.
+func objective(imp Impact) optimize.Objective {
+	obj := optimize.Objective{F: imp.Eval}
+	if gi, ok := imp.(GradImpact); ok {
+		obj.Grad = gi.Gradient
+	}
+	if fi, ok := imp.(*FuncImpact); ok {
+		obj.Convex = fi.Convex
+	}
+	return obj
 }
 
 // linearDistance computes the exact distance from orig to the hyperplane

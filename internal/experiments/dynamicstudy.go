@@ -101,10 +101,13 @@ func RunDynStudy(cfg DynStudyConfig) (*DynStudyResult, error) {
 		w := workloads[trial]
 		var res *dynamic.Result
 		var err error
+		// Each cell takes fresh heuristic values: some carry state from
+		// one arrival to the next (Switching's MCT/MET mode), which must
+		// neither leak between trials nor be shared by concurrent cells.
 		if i < len(immediate) {
-			res, err = dynamic.Run(stats.NewRNG(cfg.Seed+int64(trial)), w, immediate[i], cfg.Tau)
+			res, err = dynamic.Run(stats.NewRNG(cfg.Seed+int64(trial)), w, dynamic.All()[i], cfg.Tau)
 		} else {
-			res, err = dynamic.RunBatch(stats.NewRNG(cfg.Seed+int64(trial)), w, batch[i-len(immediate)], interval, cfg.Tau)
+			res, err = dynamic.RunBatch(stats.NewRNG(cfg.Seed+int64(trial)), w, dynamic.AllBatch()[i-len(immediate)], interval, cfg.Tau)
 		}
 		if err != nil {
 			return err

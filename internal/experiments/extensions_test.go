@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -172,6 +173,27 @@ func TestRunDynStudy(t *testing.T) {
 	}
 	if _, err := RunDynStudy(DynStudyConfig{}); err == nil {
 		t.Errorf("zero config accepted")
+	}
+}
+
+// Every (trial × heuristic) cell runs on its own heuristic value, so the
+// rows cannot depend on how many cells run at once: a stateful heuristic
+// (Switching's MCT/MET mode) shared across cells would carry its mode
+// from one trial into the next, and race under concurrent cells.
+func TestRunDynStudyWorkerInvariant(t *testing.T) {
+	cfg := PaperDynStudyConfig()
+	cfg.Workers = 1
+	serial, err := RunDynStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 4
+	parallel, err := RunDynStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial.Rows, parallel.Rows) {
+		t.Errorf("Workers 1 and 4 disagree:\n%+v\n%+v", serial.Rows, parallel.Rows)
 	}
 }
 

@@ -60,19 +60,21 @@ func AnnealMinDistance(obj Objective, x0 []float64, target float64, opts AnnealO
 func AnnealMinDistanceCtx(ctx context.Context, obj Objective, x0 []float64, target float64, opts AnnealOptions) (Result, error) {
 	n := len(x0)
 	rng := stats.NewRNG(opts.Seed)
-	innerOpts := Options{Tol: opts.Tol, MaxIter: 200, RayMax: opts.RayMax, GradStep: 1e-6}
-	rayMax := opts.RayMax * (1 + vecmath.Euclidean(x0))
-
 	f0 := obj.F(x0)
 	if math.Abs(f0-target) <= opts.Tol*math.Max(1, math.Abs(target)) {
 		return Result{X: vecmath.Clone(x0), Distance: 0, Converged: true}, nil
 	}
 
+	// The first crossing along a ray of a non-convex f depends on where
+	// the bracket starts, so the ray searches take no hint and always
+	// double up from rayT0.
+	rays := newRaySearch(obj, x0, f0, target, opts.Tol, opts.RayMax)
 	energy := func(u []float64) (float64, []float64) {
-		x, err := boundaryOnRay(obj, x0, u, target, rayMax, innerOpts)
+		t, _, err := rays.crossing(u, 0)
 		if err != nil {
 			return math.Inf(1), nil
 		}
+		x := vecmath.AddScaled(nil, x0, t, u)
 		return vecmath.Distance(x0, x), x
 	}
 

@@ -18,6 +18,11 @@ type Objective struct {
 	// Grad, if non-nil, stores ∇f(x) into dst (allocating when dst is nil)
 	// and returns it.
 	Grad func(dst, x []float64) []float64
+	// Convex declares f convex. The minimum-norm solver then starts each
+	// ray search's bracket from its estimate of the crossing instead of
+	// doubling up from a tiny step; that shortcut is only sound when f is
+	// convex.
+	Convex bool
 }
 
 // Gradient returns ∇f(x), using the analytic gradient when available and
@@ -102,12 +107,18 @@ var ErrUnreachable = errors.New("optimize: level set unreachable from the starti
 // sequential linearisation:
 //
 //  1. find any boundary point by searching along a ray from x₀ (the
-//     gradient direction first, then random restarts);
+//     gradient direction first, then random restarts): bracket the
+//     crossing, then close the bracket with RegulaFalsi;
 //  2. at the current boundary point x_k, replace f by its tangent plane
 //     and project x₀ onto it (the exact solution for affine f);
 //  3. retract the projection back onto the true boundary along the ray
-//     from x₀ through it (scalar root find);
+//     from x₀ through it (the same bracketed root find);
 //  4. repeat until the distance stops improving.
+//
+// For a convex objective (Objective.Convex) each ray's bracket starts
+// from an estimate of the crossing: the linearised step from x₀ for the
+// initial rays, and the projection's distance in step 3. Any other
+// objective brackets by doubling the step up from 1e-6.
 //
 // For convex f this converges to the global minimum-norm point (the
 // iteration is a fixed point exactly at the KKT condition
@@ -171,24 +182,34 @@ func MinNormToLevelSetCtx(ctx context.Context, obj Objective, x0 []float64, targ
 		for i := range d {
 			d[i] = rng.NormFloat64()
 		}
-		if u, norm := vecmath.Normalize(nil, d); norm > 0 {
-			dirs = append(dirs, u)
+		if _, norm := vecmath.Normalize(d, d); norm > 0 {
+			dirs = append(dirs, d)
 		}
 	}
 
-	rayMax := opts.RayMax * (1 + vecmath.Euclidean(x0))
+	s := newSolver(obj, x0, f0, target, opts, track)
+	bestX := make([]float64, n)
 	for _, dir := range dirs {
 		if ctx.Err() != nil {
 			break
 		}
-		x, err := boundaryOnRay(obj, x0, dir, target, rayMax, opts)
+		// Estimate the crossing by the linearised step along dir, or, when
+		// f does not head for the level that way, by the best distance so
+		// far (+Inf, i.e. no estimate, before the first ray lands).
+		hint := best.Distance
+		if lin := (target - f0) / vecmath.Dot(grad0, dir); lin > 0 {
+			hint = lin
+		}
+		t, ft, err := s.crossing(dir, hint)
 		if err != nil {
 			continue
 		}
-		res := refineBoundary(ctx, obj, x0, x, target, opts, track)
+		vecmath.AddScaled(s.x, x0, t, dir)
+		res := s.refine(ctx, ft)
 		totalIter += res.Iterations
 		if res.Distance < best.Distance {
 			best = res
+			best.X = append(bestX[:0], res.X...)
 		}
 		if best.Converged && best.Distance == 0 {
 			break
@@ -232,104 +253,212 @@ func (t *boundTracker) observe(x, grad []float64, fx, gnorm float64) {
 	}
 }
 
-// boundaryOnRay finds the smallest t > 0 with f(x₀ + t·dir) = target.
-func boundaryOnRay(obj Objective, x0, dir []float64, target, rayMax float64, opts Options) ([]float64, error) {
-	buf := make([]float64, len(x0))
-	h := func(t float64) float64 {
-		vecmath.AddScaled(buf, x0, t, dir)
-		return obj.F(buf) - target
+// rayT0 is the first step a cold bracket probes, and the step below
+// which a warm bracket stops halving toward x₀.
+const rayT0 = 1e-6
+
+// raySearch finds where rays x₀ + t·dir (t > 0, ‖dir‖ = 1) first meet the
+// level set f = target. One serves a whole solve: it evaluates f(x₀) once
+// and writes every probe into the same scratch point.
+type raySearch struct {
+	obj    Objective
+	x0     []float64
+	target float64
+	// sign is +1 when the level is approached from below (f(x₀) < target)
+	// and −1 from above, so that s0 = sign·(f(x₀) − target) < 0.
+	sign, s0 float64
+	// scale is max(1, |target|); tol = Tol·scale is the root tolerance.
+	scale, tol float64
+	// rayMax bounds t: Options.RayMax·(1 + ‖x₀‖).
+	rayMax  float64
+	dir, pt []float64
+}
+
+// newRaySearch prepares the ray searches of one solve, given f0 = f(x₀)
+// and the relative tolerance and excursion bound of Options.Tol and
+// Options.RayMax.
+func newRaySearch(obj Objective, x0 []float64, f0, target, tol, rayMax float64) raySearch {
+	r := raySearch{obj: obj, x0: x0, target: target, sign: 1, pt: make([]float64, len(x0))}
+	r.rayMax = rayMax * (1 + vecmath.Euclidean(x0))
+	if f0 > target {
+		r.sign = -1
 	}
-	sign := 1.0
-	if h(0) > 0 {
-		sign = -1.0 // approach the level set from above
-	}
-	hi, err := BracketAbove(func(t float64) float64 { return sign * h(t) }, 1e-6, rayMax)
+	r.s0 = r.sign * (f0 - target)
+	r.scale = math.Max(1, math.Abs(target))
+	r.tol = tol * r.scale
+	return r
+}
+
+// s is sign·(f(x₀ + t·dir) − target): negative at t = 0 and ≥ 0 once the
+// ray has reached the level set.
+func (r *raySearch) s(t float64) float64 {
+	vecmath.AddScaled(r.pt, r.x0, t, r.dir)
+	return r.sign * (r.obj.F(r.pt) - r.target)
+}
+
+// crossing returns the smallest t > 0 with f(x₀ + t·dir) = target, and f
+// there. hint estimates t; warmBracket uses it for convex objectives, and
+// otherwise the bracket doubles up from rayT0.
+func (r *raySearch) crossing(dir []float64, hint float64) (t, ft float64, err error) {
+	r.dir = dir
+	b, ok, err := r.warmBracket(hint)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	t, err := Bisect(h, 0, hi, opts.Tol*math.Max(1, math.Abs(target)), 200)
-	if err != nil && !errors.Is(err, ErrMaxIter) {
-		return nil, err
+	if !ok {
+		if b, err = expandBracket(r.s, 0, r.s0, rayT0, r.rayMax); err != nil {
+			return 0, 0, err
+		}
+	}
+	t, st, err := RegulaFalsi(r.s, b.lo, b.glo, b.hi, b.ghi, r.tol, 200)
+	if errors.Is(err, ErrMaxIter) {
+		st = r.s(t)
+	} else if err != nil {
+		return 0, 0, err
 	}
 	// Never hand back a point that is not actually on the level set: a
 	// bracketing interval can close onto a jump discontinuity (the level
-	// is skipped entirely) without |h| ever getting small.
-	if math.Abs(h(t)) > 1e-6*math.Max(1, math.Abs(target)) {
-		return nil, fmt.Errorf("%w: ray crossing is a discontinuity, |f−target|=%v", ErrNoBracket, math.Abs(h(t)))
+	// is skipped entirely) without |f − target| ever getting small.
+	if math.Abs(st) > 1e-6*r.scale {
+		return 0, 0, fmt.Errorf("%w: ray crossing is a discontinuity, |f−target|=%v", ErrNoBracket, math.Abs(st))
 	}
-	return vecmath.AddScaled(nil, x0, t, dir), nil
+	return t, r.target + r.sign*st, nil
 }
 
-// refineBoundary runs the linearise-project-retract loop from boundary
-// point x, reporting each iterate's halfspace bound to track (nil-safe)
-// and stopping early when ctx expires.
-func refineBoundary(ctx context.Context, obj Objective, x0, x []float64, target float64, opts Options, track *boundTracker) Result {
-	scale := math.Max(1, math.Abs(target))
-	rayMax := opts.RayMax * (1 + vecmath.Euclidean(x0))
-	dist := vecmath.Distance(x0, x)
-	grad := make([]float64, len(x))
+// warmBracket brackets the crossing from a hint for a convex objective,
+// reporting ok = false when the caller must double up from rayT0 instead.
+// Approached from below, a convex f meets its level at most once along a
+// ray, so any hint is safe: halve toward x₀ from a hint that has crossed,
+// double away from one that has not. Approached from above, the ray may
+// enter the sublevel set and leave it again; a hint inside it has the
+// entry point below it, but one outside may lie past the exit, so it is
+// not used.
+func (r *raySearch) warmBracket(hint float64) (b bracket, ok bool, err error) {
+	if !r.obj.Convex || !(hint > 0 && hint <= r.rayMax) {
+		return bracket{}, false, nil
+	}
+	v := r.s(hint)
+	switch {
+	case math.IsNaN(v) || v < 0 && r.sign < 0:
+		return bracket{}, false, nil
+	case v < 0:
+		b, err = expandBracket(r.s, hint, v, 2*hint, r.rayMax)
+		return b, true, err
+	}
+	b = bracket{lo: 0, glo: r.s0, hi: hint, ghi: v}
+	for t := hint / 2; t >= rayT0; t /= 2 {
+		v := r.s(t)
+		if math.IsNaN(v) {
+			return bracket{}, false, nil
+		}
+		if v < 0 {
+			b.lo, b.glo = t, v
+			break
+		}
+		b.hi, b.ghi = t, v
+	}
+	return b, true, nil
+}
+
+// solver is one minimum-norm solve: its ray search, options and bound
+// tracker, and the scratch vectors its refinements reuse.
+type solver struct {
+	raySearch
+	opts  Options
+	track *boundTracker
+	// x is the current boundary point; next is the candidate the ray
+	// search retracts to. The rest hold intermediate vectors.
+	x, next, grad, proj, diff, u []float64
+}
+
+func newSolver(obj Objective, x0 []float64, f0, target float64, opts Options, track *boundTracker) *solver {
+	n := len(x0)
+	vec := func() []float64 { return make([]float64, n) }
+	return &solver{
+		raySearch: newRaySearch(obj, x0, f0, target, opts.Tol, opts.RayMax),
+		opts:      opts,
+		track:     track,
+		x:         vec(), next: vec(), grad: vec(), proj: vec(), diff: vec(), u: vec(),
+	}
+}
+
+// refine runs the linearise-project-retract loop from the boundary point
+// s.x, where f = fx, reporting each iterate's halfspace bound to the
+// tracker (nil-safe) and stopping early when ctx expires. The result's X
+// is s.x, which the next refine overwrites.
+func (s *solver) refine(ctx context.Context, fx float64) Result {
+	x0, target, opts := s.x0, s.target, s.opts
+	dist := vecmath.Distance(x0, s.x)
+	s.grad = s.obj.Gradient(s.grad, s.x, opts.GradStep)
 	converged := false
 	iters := 0
 	for ; iters < opts.MaxIter; iters++ {
 		if ctx.Err() != nil {
 			break
 		}
-		grad = obj.Gradient(grad, x, opts.GradStep)
-		gnorm := vecmath.Euclidean(grad)
+		gnorm := vecmath.Euclidean(s.grad)
 		if gnorm == 0 {
 			break // flat spot: cannot linearise further
 		}
-		fx := obj.F(x)
-		track.observe(x, grad, fx, gnorm)
+		s.track.observe(s.x, s.grad, fx, gnorm)
 		// Tangent plane at x: ∇f(x)·(y − x) = 0 shifted to pass through the
 		// level set, i.e. ∇f·y = ∇f·x + (target − f(x)).
-		c := vecmath.Dot(grad, x) + (target - fx)
-		plane := vecmath.Hyperplane{A: grad, C: c}
-		proj := plane.Project(nil, x0)
+		c := vecmath.Dot(s.grad, s.x) + (target - fx)
+		plane := vecmath.Hyperplane{A: s.grad, C: c}
+		plane.Project(s.proj, x0)
 		// Retract the projection onto the true boundary along the ray
-		// x₀ → proj.
-		dir := vecmath.Sub(nil, proj, x0)
-		u, norm := vecmath.Normalize(nil, dir)
-		var next []float64
+		// x₀ → proj. Its length estimates the crossing: from below, the
+		// tangent plane of a convex f supports the sublevel set, so the
+		// ray crosses no later than the plane.
+		_, norm := vecmath.Normalize(s.u, vecmath.Sub(s.diff, s.proj, x0))
+		var nfx float64
 		if norm == 0 {
-			next = proj
+			copy(s.next, s.proj)
+			nfx = s.obj.F(s.next)
 		} else {
-			var err error
-			next, err = boundaryOnRay(obj, x0, u, target, rayMax, opts)
+			t, ft, err := s.crossing(s.u, norm)
 			if err != nil {
 				break
 			}
+			vecmath.AddScaled(s.next, x0, t, s.u)
+			nfx = ft
 		}
-		nd := vecmath.Distance(x0, next)
+		nd := vecmath.Distance(x0, s.next)
 		improved := nd < dist-opts.Tol*math.Max(1, dist)
 		if nd < dist {
-			x, dist = next, nd
+			s.x, s.next = s.next, s.x
+			dist, fx = nd, nfx
 		}
-		onBoundary := math.Abs(obj.F(x)-target) <= 1e3*opts.Tol*scale
+		onBoundary := math.Abs(fx-target) <= 1e3*opts.Tol*s.scale
+		if !improved && !onBoundary {
+			break // stalled off the level set: not converged
+		}
+		s.grad = s.obj.Gradient(s.grad, s.x, opts.GradStep)
 		// KKT: at the optimum, (x−x₀) is parallel to ∇f(x).
-		if onBoundary && aligned(x0, x, obj.Gradient(grad, x, opts.GradStep), opts.Tol) {
+		if onBoundary && s.aligned() {
 			converged = true
 			break
 		}
 		if !improved {
-			// Stalled without alignment (e.g. non-smooth boundary): accept
-			// the best point found as near-optimal if it is feasible.
-			converged = onBoundary
+			// Stalled without alignment (e.g. non-smooth boundary): the
+			// best point found is on the level set, so accept it as
+			// near-optimal.
+			converged = true
 			break
 		}
 	}
-	return Result{X: x, Distance: dist, Iterations: iters, Converged: converged}
+	return Result{X: s.x, Distance: dist, Iterations: iters, Converged: converged}
 }
 
-// aligned reports whether x−x₀ and g point along the same line to within a
-// loose angular tolerance.
-func aligned(x0, x, g []float64, tol float64) bool {
-	d := vecmath.Sub(nil, x, x0)
+// aligned reports whether x−x₀ and ∇f(x) point along the same line to
+// within a loose angular tolerance.
+func (s *solver) aligned() bool {
+	d := vecmath.Sub(s.diff, s.x, s.x0)
 	nd := vecmath.Euclidean(d)
-	ng := vecmath.Euclidean(g)
+	ng := vecmath.Euclidean(s.grad)
 	if nd == 0 || ng == 0 {
 		return true
 	}
-	cos := math.Abs(vecmath.Dot(d, g)) / (nd * ng)
-	return cos >= 1-1e2*tol
+	cos := math.Abs(vecmath.Dot(d, s.grad)) / (nd * ng)
+	return cos >= 1-1e2*s.opts.Tol
 }

@@ -8,9 +8,15 @@ import (
 	"fepia/internal/vecmath"
 )
 
-func TestBisectKnownRoots(t *testing.T) {
+// regulaFalsi runs RegulaFalsi on [lo, hi], evaluating the ends itself.
+func regulaFalsi(g func(float64) float64, lo, hi, tol float64, maxIter int) (float64, error) {
+	x, _, err := RegulaFalsi(g, lo, g(lo), hi, g(hi), tol, maxIter)
+	return x, err
+}
+
+func TestRegulaFalsiKnownRoots(t *testing.T) {
 	// x² − 2 on [0,2] → sqrt(2).
-	root, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12, 200)
+	root, err := regulaFalsi(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,26 +24,65 @@ func TestBisectKnownRoots(t *testing.T) {
 		t.Errorf("root = %v", root)
 	}
 	// Endpoints that are exact roots return immediately.
-	if r, err := Bisect(func(x float64) float64 { return x }, 0, 1, 1e-12, 10); err != nil || r != 0 {
+	if r, err := regulaFalsi(func(x float64) float64 { return x }, 0, 1, 1e-12, 10); err != nil || r != 0 {
 		t.Errorf("zero endpoint: %v, %v", r, err)
 	}
-	if r, err := Bisect(func(x float64) float64 { return x - 1 }, 0, 1, 1e-12, 10); err != nil || r != 1 {
+	if r, err := regulaFalsi(func(x float64) float64 { return x - 1 }, 0, 1, 1e-12, 10); err != nil || r != 1 {
 		t.Errorf("one endpoint: %v, %v", r, err)
 	}
 	// Reversed interval is normalised.
-	if r, err := Bisect(func(x float64) float64 { return x - 0.5 }, 1, 0, 1e-12, 100); err != nil || math.Abs(r-0.5) > 1e-9 {
+	if r, err := regulaFalsi(func(x float64) float64 { return x - 0.5 }, 1, 0, 1e-12, 100); err != nil || math.Abs(r-0.5) > 1e-9 {
 		t.Errorf("reversed interval: %v, %v", r, err)
+	}
+	// The value returned is g at the root.
+	g := func(x float64) float64 { return math.Exp(x) - 3 }
+	x, gx, err := RegulaFalsi(g, 0, g(0), 2, g(2), 1e-12, 200)
+	if err != nil || gx != g(x) || math.Abs(x-math.Log(3)) > 1e-9 {
+		t.Errorf("exp root: x=%v g=%v (g(x)=%v), %v", x, gx, g(x), err)
 	}
 }
 
-func TestBisectNoBracket(t *testing.T) {
-	_, err := Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12, 100)
+func TestRegulaFalsiNoBracket(t *testing.T) {
+	_, err := regulaFalsi(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12, 100)
 	if !errors.Is(err, ErrNoBracket) {
 		t.Errorf("err = %v", err)
 	}
-	_, err = Bisect(func(x float64) float64 { return math.NaN() }, 0, 1, 1e-12, 100)
+	_, err = regulaFalsi(func(x float64) float64 { return math.NaN() }, 0, 1, 1e-12, 100)
 	if !errors.Is(err, ErrNoBracket) {
 		t.Errorf("NaN err = %v", err)
+	}
+}
+
+func TestRegulaFalsiMaxIter(t *testing.T) {
+	g := func(x float64) float64 { return x*x*x - 2 }
+	x, gx, err := RegulaFalsi(g, 0, g(0), 4, g(4), 1e-300, 3)
+	if !errors.Is(err, ErrMaxIter) {
+		t.Fatalf("err = %v", err)
+	}
+	if !math.IsNaN(gx) || !(x > 0 && x < 4) {
+		t.Errorf("after the cap: x=%v g=%v, want a point inside the bracket and NaN", x, gx)
+	}
+}
+
+// The Illinois step: plain regula falsi on a strongly convex g keeps the
+// same end forever and creeps toward the root from one side. Halving the
+// kept end's value each time it survives again must pull the chord past
+// the root within a few steps, so the root is found in far fewer
+// evaluations than either plain false position or bisection needs.
+func TestRegulaFalsiIllinoisHalving(t *testing.T) {
+	evals := 0
+	g := func(x float64) float64 { evals++; return math.Pow(x, 10) - 1 } // root at 1
+	root, err := regulaFalsi(g, 0, 3, 1e-12, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(root-1) > 1e-9 {
+		t.Errorf("root = %v want 1", root)
+	}
+	// Bisection needs ~41 halvings of [0,3] to reach 1e-12; plain false
+	// position stalls against the end at 3, whose value is 59048.
+	if evals > 2+30 {
+		t.Errorf("%d evaluations: the kept end was not halved", evals)
 	}
 }
 
@@ -222,17 +267,18 @@ func TestMinNormSaturationPlateau(t *testing.T) {
 	}
 }
 
-func TestBisectPlateauBracket(t *testing.T) {
+func TestRegulaFalsiPlateauBracket(t *testing.T) {
 	// The scalar regression distilled: g is −ε on the left and jumps to
-	// +10⁴ on the right, with a genuine root in between. The alternating
-	// bisection must find it despite the magnitude imbalance.
+	// +10⁴ on the right, with a genuine root in between. The Illinois
+	// halving of the plateau end must find it despite the magnitude
+	// imbalance.
 	g := func(x float64) float64 {
 		if x >= 2 {
 			return 1e4
 		}
 		return x - 1 // root at 1
 	}
-	root, err := Bisect(g, 0, 100, 1e-10, 200)
+	root, err := regulaFalsi(g, 0, 100, 1e-10, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

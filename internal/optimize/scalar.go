@@ -8,7 +8,7 @@
 // with an attainable global minimum; for affine f it collapses to the
 // point-to-hyperplane formula. This package provides
 //
-//   - scalar root finding (bracketing + hybrid bisection/secant),
+//   - scalar root finding (geometric bracketing + Illinois regula falsi),
 //   - golden-section minimisation,
 //   - numerical gradients,
 //   - a sequential-linearisation solver for the minimum-norm boundary
@@ -32,49 +32,55 @@ var ErrNoBracket = errors.New("optimize: could not bracket a root")
 // requested tolerance.
 var ErrMaxIter = errors.New("optimize: iteration limit exceeded")
 
-// Bisect finds a root of g in [lo, hi], where g(lo) and g(hi) must have
-// opposite signs (zero endpoints are returned immediately). It uses plain
-// bisection with a secant acceleration step when safe, achieving |g| ≤ tol
-// or an interval of width ≤ tol. It returns ErrMaxIter if maxIter halvings
-// do not suffice.
-func Bisect(g func(float64) float64, lo, hi, tol float64, maxIter int) (float64, error) {
+// RegulaFalsi finds a root of g in [lo, hi] by the Illinois variant of
+// regula falsi, given glo = g(lo) and ghi = g(hi) of opposite signs; a
+// caller that has just bracketed the root already holds both, so neither
+// end is evaluated again. A zero endpoint is returned immediately. Each
+// step evaluates g where the chord through the bracket's ends crosses
+// zero; when the same end survives two steps in a row its value is
+// halved, so the bracket closes from both sides even against an end of
+// much larger magnitude (e.g. a saturation plateau). It stops when
+// |g| ≤ tol or the bracket is no wider than tol and returns the root with
+// g there. If maxIter steps do not suffice it returns the bracket's
+// midpoint, where g was not evaluated, with a NaN value and ErrMaxIter.
+func RegulaFalsi(g func(float64) float64, lo, glo, hi, ghi, tol float64, maxIter int) (x, gx float64, err error) {
 	if lo > hi {
-		lo, hi = hi, lo
+		lo, glo, hi, ghi = hi, ghi, lo, glo
 	}
-	glo, ghi := g(lo), g(hi)
 	if glo == 0 {
-		return lo, nil
+		return lo, 0, nil
 	}
 	if ghi == 0 {
-		return hi, nil
+		return hi, 0, nil
 	}
 	if math.IsNaN(glo) || math.IsNaN(ghi) || glo*ghi > 0 {
-		return 0, fmt.Errorf("%w: g(%v)=%v, g(%v)=%v", ErrNoBracket, lo, glo, hi, ghi)
+		return 0, 0, fmt.Errorf("%w: g(%v)=%v, g(%v)=%v", ErrNoBracket, lo, glo, hi, ghi)
 	}
+	kept := 0 // −1 after a step that kept lo, +1 after one that kept hi
 	for iter := 0; iter < maxIter; iter++ {
-		mid := 0.5 * (lo + hi)
-		// Secant candidate on alternate iterations only, and only when it
-		// lands strictly inside the bracket: a lone secant step can stall
-		// against a bracket endpoint of much larger magnitude (e.g. a
-		// saturation plateau), while alternating with bisection guarantees
-		// the interval halves at least every other iteration.
-		if d := ghi - glo; d != 0 && iter%2 == 1 {
-			sec := lo - glo*(hi-lo)/d
-			if sec > lo && sec < hi {
-				mid = sec
+		x = lo - glo*(hi-lo)/(ghi-glo)
+		if !(x > lo && x < hi) {
+			x = 0.5 * (lo + hi) // the chord rounded onto an end
+		}
+		gx = g(x)
+		if math.Abs(gx) <= tol || hi-lo <= tol {
+			return x, gx, nil
+		}
+		if glo*gx < 0 {
+			hi, ghi = x, gx
+			if kept == -1 {
+				glo /= 2
 			}
-		}
-		gm := g(mid)
-		if math.Abs(gm) <= tol || hi-lo <= tol {
-			return mid, nil
-		}
-		if glo*gm < 0 {
-			hi, ghi = mid, gm
+			kept = -1
 		} else {
-			lo, glo = mid, gm
+			lo, glo = x, gx
+			if kept == 1 {
+				ghi /= 2
+			}
+			kept = 1
 		}
 	}
-	return 0.5 * (lo + hi), ErrMaxIter
+	return 0.5 * (lo + hi), math.NaN(), ErrMaxIter
 }
 
 // BracketAbove expands an interval [0, t] geometrically until
@@ -85,16 +91,30 @@ func BracketAbove(g func(float64) float64, t0, tMax float64) (float64, error) {
 	if t0 <= 0 {
 		t0 = 1
 	}
+	b, err := expandBracket(g, 0, math.NaN(), t0, tMax) // g(0) is not needed for hi
+	return b.hi, err
+}
+
+// bracket is an interval [lo, hi] with g(lo) = glo < 0 ≤ g(hi) = ghi.
+type bracket struct{ lo, glo, hi, ghi float64 }
+
+// expandBracket doubles t from t0 until g(t) ≥ 0, given g(lo) = glo < 0
+// at some lo < t0. The bracket it returns runs from the last probe below
+// zero (lo itself when the first probe crosses) to the first at or above
+// it. It fails with ErrNoBracket on a NaN probe or when no probe up to
+// tMax crosses.
+func expandBracket(g func(float64) float64, lo, glo, t0, tMax float64) (bracket, error) {
 	for t := t0; t <= tMax; t *= 2 {
 		v := g(t)
 		if math.IsNaN(v) {
-			return 0, fmt.Errorf("%w: g(%v) is NaN", ErrNoBracket, t)
+			return bracket{}, fmt.Errorf("%w: g(%v) is NaN", ErrNoBracket, t)
 		}
 		if v >= 0 {
-			return t, nil
+			return bracket{lo, glo, t, v}, nil
 		}
+		lo, glo = t, v
 	}
-	return 0, fmt.Errorf("%w: no crossing before t=%v", ErrNoBracket, tMax)
+	return bracket{}, fmt.Errorf("%w: no crossing before t=%v", ErrNoBracket, tMax)
 }
 
 // GoldenSection minimises a unimodal scalar function on [lo, hi] to within
