@@ -99,9 +99,11 @@ endif
 # (FuzzParse, FuzzParseBatch, FuzzWatchRequest: the fast path must agree
 # with encoding/json on verdict, value and error bytes), the response
 # encoder (FuzzAppendResult: byte-identical to json.Encoder), the
-# retryable-error classifier, the cache-snapshot decoder, and the peer
+# retryable-error classifier, the cache-snapshot decoder, the peer
 # trace decoders (FuzzParseTraceHeader for X-Fepiad-Trace,
-# FuzzStitchSpans for the X-Fepiad-Spans export stitched into a trace).
+# FuzzStitchSpans for the X-Fepiad-Spans export stitched into a trace),
+# and the federated metrics merge (FuzzRegistrySnapshotMerge: a peer's
+# /v1/cluster/metrics document merged and rendered must never panic).
 fuzz:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/spec
 	$(GO) test -fuzz='^FuzzParseBatch$$' -fuzztime=30s ./internal/spec
@@ -110,6 +112,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRetryable -fuzztime=30s ./internal/faults
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/batch
 	$(GO) test -fuzz='^FuzzParseTraceHeader$$' -fuzztime=30s ./internal/obs
+	$(GO) test -fuzz='^FuzzRegistrySnapshotMerge$$' -fuzztime=30s ./internal/obs
 	$(GO) test -fuzz='^FuzzStitchSpans$$' -fuzztime=30s ./internal/server
 
 # chaos: the seeded fault-injection suite under the race detector —

@@ -22,7 +22,7 @@
 // transient solve failures retry up to -retry-max attempts, each /v1/
 // endpoint sits behind a -breaker-window circuit breaker, and with
 // -degraded (on by default) an open breaker or engine failure is served
-// from the radius cache with a "degraded": true marker. The
+// from the radius cache with meta.degraded set. The
 // FEPIAD_FAULTS env knob activates the seeded fault-injection harness
 // for chaos drills.
 //
@@ -84,7 +84,6 @@ func main() {
 		peersFlag      = flag.String("peers", "", "full ring membership as id=url,id=url,... including this node (empty = solo); see docs/CLUSTER.md")
 		peerReplicas   = flag.Int("peer-replicas", 0, "virtual points per node on the consistent-hash ring (0 = default; all nodes must agree)")
 		forwardTimeout = flag.Duration("forward-timeout", 0, "per-attempt deadline for forwarding a request to its ring owner (0 = default)")
-		compatDegraded = flag.Bool("compat-v1-degraded", false, "re-emit the deprecated top-level \"degraded\" result marker alongside meta.degraded (one release of grace)")
 	)
 	flag.Parse()
 
@@ -229,11 +228,10 @@ func main() {
 		TraceSlowThreshold: *traceSlow,
 		TraceSample:        *traceSample,
 
-		NodeID:           *nodeID,
-		Peers:            peers,
-		PeerReplicas:     *peerReplicas,
-		ForwardTimeout:   *forwardTimeout,
-		CompatV1Degraded: *compatDegraded,
+		NodeID:         *nodeID,
+		Peers:          peers,
+		PeerReplicas:   *peerReplicas,
+		ForwardTimeout: *forwardTimeout,
 	}
 	// Assign only a live injector: a typed-nil *Seeded in the interface
 	// field would read as "injection active" and crash the first request.

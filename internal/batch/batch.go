@@ -93,7 +93,9 @@ type Job struct {
 // encountered, cancelling the remaining work. It is the scheduling
 // substrate of Analyze and of the experiment harness: callers write
 // result i into slot i of a preallocated slice, so output order never
-// depends on scheduling.
+// depends on scheduling. A pool of one needs no goroutine: it runs the
+// tasks in order on the caller's goroutine, under the caller's profiler
+// labels.
 func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -103,6 +105,17 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	}
 	if workers > n {
 		workers = n
+	}
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := runTask(fn, i); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -116,17 +129,6 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	fail := func(err error) {
 		errOnce.Do(func() { firstErr = err })
 		cancel()
-	}
-	// run isolates a stray task panic (one that escaped the per-feature
-	// recovery in solveFeature, e.g. from a caller-supplied fn) into the
-	// batch's first error instead of tearing down the process.
-	run := func(i int) (err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				err = fmt.Errorf("batch: task %d panicked: %v", i, rec)
-			}
-		}()
-		return fn(i)
 	}
 	for w := 0; w < workers; w++ {
 		if w > 0 {
@@ -153,7 +155,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 					fail(err)
 					return
 				}
-				if err := run(i); err != nil {
+				if err := runTask(fn, i); err != nil {
 					fail(err)
 					return
 				}
@@ -162,6 +164,18 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// runTask runs fn(i), isolating a stray task panic (one that escaped the
+// per-feature recovery in solveFeature, e.g. from a caller-supplied fn)
+// into the batch's first error instead of tearing down the process.
+func runTask(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("batch: task %d panicked: %v", i, rec)
+		}
+	}()
+	return fn(i)
 }
 
 // Analyze evaluates every job concurrently and returns one core.Analysis

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -140,6 +141,33 @@ func TestForEachPropagatesFirstError(t *testing.T) {
 	}
 	if err := ForEach(context.Background(), 0, 4, func(int) error { return boom }); err != nil {
 		t.Fatalf("n=0 should be a no-op, got %v", err)
+	}
+}
+
+// TestForEachPoolOfOne: a one-worker pool runs the tasks in order on
+// the caller's goroutine and keeps the pooled contract — a cancelled
+// context runs nothing, and a panicking task becomes the error that
+// stops the rest.
+func TestForEachPoolOfOne(t *testing.T) {
+	var order []int
+	err := ForEach(context.Background(), 5, 1, func(i int) error {
+		order = append(order, i) // no lock: one goroutine
+		if i == 2 {
+			panic("bad task")
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "batch: task 2 panicked: bad task") {
+		t.Fatalf("err = %v, want the task 2 panic", err)
+	}
+	if !reflect.DeepEqual(order, []int{0, 1, 2}) {
+		t.Fatalf("ran %v, want [0 1 2]", order)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran := false
+	if err := ForEach(ctx, 1, 4, func(int) error { ran = true; return nil }); !errors.Is(err, context.Canceled) || ran {
+		t.Fatalf("cancelled pool of one: err %v, ran %v", err, ran)
 	}
 }
 

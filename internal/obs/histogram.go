@@ -184,11 +184,16 @@ func (s HistogramSnapshot) Quantile(p float64) float64 {
 	return s.Max
 }
 
+// wellFormed reports whether Counts holds exactly one entry per bucket
+// plus the +Inf overflow — what a decoded peer snapshot may not.
+func (s HistogramSnapshot) wellFormed() bool { return len(s.Counts) == len(s.Bounds)+1 }
+
 // Merge returns the element-wise sum of two snapshots over identical
-// bounds; it panics on mismatched bucket layouts. The fepiad /debug/vars
-// aggregate latency histogram merges the per-endpoint series.
+// bounds; it panics on mismatched bucket layouts, malformed Counts
+// included. The fepiad /debug/vars aggregate latency histogram merges
+// the per-endpoint series.
 func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	if len(s.Bounds) != len(o.Bounds) {
+	if len(s.Bounds) != len(o.Bounds) || !s.wellFormed() || !o.wellFormed() {
 		panic("obs: merging histograms with different bucket layouts")
 	}
 	out := HistogramSnapshot{

@@ -199,8 +199,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // writeHistogram emits the cumulative _bucket/_sum/_count triplet of one
 // histogram series. Buckets with a recorded exemplar carry it
-// OpenMetrics-style after the bucket value: `# {trace_id="…"} <v>`.
+// OpenMetrics-style after the bucket value: `# {trace_id="…"} <v>`. A
+// malformed snapshot (Counts not one per bucket plus +Inf) renders
+// nothing.
 func writeHistogram(b *strings.Builder, name string, labels []Label, snap HistogramSnapshot) {
+	if !snap.wellFormed() {
+		return
+	}
 	exemplar := make(map[int]Exemplar, len(snap.Exemplars))
 	for _, ex := range snap.Exemplars {
 		exemplar[ex.Bucket] = ex

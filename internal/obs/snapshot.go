@@ -85,7 +85,9 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 // totals), histograms merge bucket-wise. A peer series with no local
 // counterpart is adopted; a histogram whose bucket layout disagrees
 // with the local one is skipped rather than corrupting the merge (the
-// local series wins). Families disagreeing on type are skipped whole.
+// local series wins). Families disagreeing on type are skipped whole,
+// and a malformed peer histogram — Counts not one per bucket plus +Inf
+// — is dropped before anything reads it.
 func (s *RegistrySnapshot) Merge(o RegistrySnapshot) {
 	byName := make(map[string]*FamilySnapshot, len(s.Families))
 	for i := range s.Families {
@@ -96,6 +98,7 @@ func (s *RegistrySnapshot) Merge(o RegistrySnapshot) {
 	// the byName pointers.
 	var adopted []FamilySnapshot
 	for _, of := range o.Families {
+		of.Series = wellFormed(of.Series)
 		sf := byName[of.Name]
 		if sf == nil {
 			adopted = append(adopted, of)
@@ -120,7 +123,7 @@ func (s *RegistrySnapshot) Merge(o RegistrySnapshot) {
 			case ss.Gauge != nil && os.Gauge != nil:
 				*ss.Gauge += *os.Gauge
 			case ss.Hist != nil && os.Hist != nil:
-				if len(ss.Hist.Bounds) == len(os.Hist.Bounds) {
+				if ss.Hist.wellFormed() && len(ss.Hist.Bounds) == len(os.Hist.Bounds) {
 					merged := ss.Hist.Merge(*os.Hist)
 					*ss.Hist = merged
 				}
@@ -132,6 +135,18 @@ func (s *RegistrySnapshot) Merge(o RegistrySnapshot) {
 	}
 	s.Families = append(s.Families, adopted...)
 	sort.Slice(s.Families, func(i, j int) bool { return s.Families[i].Name < s.Families[j].Name })
+}
+
+// wellFormed returns the series without the malformed histograms among
+// them, leaving the input slice untouched.
+func wellFormed(series []SeriesSnapshot) []SeriesSnapshot {
+	out := make([]SeriesSnapshot, 0, len(series))
+	for _, ss := range series {
+		if ss.Hist == nil || ss.Hist.wellFormed() {
+			out = append(out, ss)
+		}
+	}
+	return out
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text

@@ -129,6 +129,10 @@ func TestAnytimeBatchPartial(t *testing.T) {
 			t.Fatalf("linear system degraded to a bound: %+v", br.Results[1].Radii)
 		}
 	}
+	// The batch trace carries the anytime attribute, as analyze's does.
+	if tr := traces(t, ts.URL).Recent[0]; tr.Endpoint != epBatch || tr.Attrs["anytime"] != "partial" {
+		t.Fatalf("batch trace %s attrs %v, want anytime=partial", tr.Endpoint, tr.Attrs)
+	}
 }
 
 // Anytime mode changes nothing when the deadline holds: the answer and

@@ -158,8 +158,8 @@ func TestChaosDegradedServingAndBreakerOpen(t *testing.T) {
 		if got.Meta.Cache != spec.CacheHit {
 			t.Fatalf("degraded request %d: meta.cache = %q, want %q", i, got.Meta.Cache, spec.CacheHit)
 		}
-		if got.Degraded {
-			t.Fatalf("degraded request %d: deprecated top-level marker emitted without -compat-v1-degraded: %s", i, body)
+		if hasTopLevelKey(t, body, "degraded") {
+			t.Fatalf("degraded request %d: top-level \"degraded\" key emitted; the marker lives in meta: %s", i, body)
 		}
 		// Byte-identical modulo the meta block: clearing it must reproduce
 		// the fault-free document exactly.
@@ -172,6 +172,11 @@ func TestChaosDegradedServingAndBreakerOpen(t *testing.T) {
 	vars := getVars(t, ts.URL)
 	if state := breakerStateVar(t, vars, "fepiad.breaker.analyze"); state != "open" {
 		t.Fatalf("breaker state = %q after a full failing window, want open", state)
+	}
+	// The endpoints keep separate breakers: analyze failures never trip
+	// batch's.
+	if state := breakerStateVar(t, vars, "fepiad.breaker.batch"); state != "closed" {
+		t.Fatalf("batch breaker state = %q after analyze failures, want closed", state)
 	}
 	if got := vars["fepiad.degraded"].(float64); got != 2 {
 		t.Fatalf("fepiad.degraded = %v, want 2", got)
@@ -418,12 +423,16 @@ func TestChaosBatchDegraded(t *testing.T) {
 		t.Fatalf("degraded batch top-level meta = %+v, want degraded with cache %q", got.Meta, spec.CacheHit)
 	}
 	got.Meta = nil
+	var raw struct{ Results []json.RawMessage }
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
 	for i := range got.Results {
 		if got.Results[i].Meta == nil || !got.Results[i].Meta.Degraded {
 			t.Fatalf("results[%d] missing meta.degraded marker", i)
 		}
-		if got.Results[i].Degraded {
-			t.Fatalf("results[%d] emitted deprecated top-level marker without -compat-v1-degraded", i)
+		if hasTopLevelKey(t, raw.Results[i], "degraded") {
+			t.Fatalf("results[%d] emitted a top-level \"degraded\" key; the marker lives in meta: %s", i, raw.Results[i])
 		}
 		got.Results[i].Meta = nil
 	}
@@ -442,35 +451,13 @@ func TestChaosBatchDegraded(t *testing.T) {
 	}
 }
 
-// TestChaosCompatV1DegradedMarker: the deprecated top-level "degraded"
-// marker is emitted only behind -compat-v1-degraded, and always
-// alongside the authoritative meta.degraded (docs/SERVICE.md).
-func TestChaosCompatV1DegradedMarker(t *testing.T) {
-	inj := engineKiller()
-	s := New(quietConfig(Config{
-		RetryMax:         -1,
-		Degraded:         true,
-		CompatV1Degraded: true,
-		Injector:         inj,
-	}))
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	doc := linearSpec(1)
-	postJSON(t, ts.URL+"/v1/analyze", doc) // warm the cache
-	inj.enabled.Store(true)
-	resp, body := postJSON(t, ts.URL+"/v1/analyze", doc)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+// hasTopLevelKey reports whether the JSON object doc has the member key.
+func hasTopLevelKey(t *testing.T, doc []byte, key string) bool {
+	t.Helper()
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(doc, &obj); err != nil {
+		t.Fatalf("not a JSON object: %v (%s)", err, doc)
 	}
-	var got spec.ResultJSON
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Meta == nil || !got.Meta.Degraded {
-		t.Fatalf("meta.degraded missing: %s", body)
-	}
-	if !got.Degraded {
-		t.Fatalf("compat mode did not emit the deprecated top-level marker: %s", body)
-	}
+	_, ok := obj[key]
+	return ok
 }

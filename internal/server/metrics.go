@@ -188,7 +188,7 @@ func newTelemetry(s *Server) telemetry {
 // state (0 closed, 1 half-open, 2 open, -1 disabled) and trip count.
 func registerBreaker(reg *obs.Registry, ep string, b *faults.Breaker) {
 	reg.GaugeFunc("fepiad_breaker_state", "Circuit-breaker state by endpoint: 0 closed, 1 half-open, 2 open, -1 disabled.",
-		func() float64 { return breakerStateValue(b) }, obs.L("endpoint", ep))
+		func() float64 { return breakerStateValue(breakerState(b)) }, obs.L("endpoint", ep))
 	reg.GaugeFunc("fepiad_breaker_opens", "Circuit-breaker trips by endpoint.",
 		func() float64 {
 			if b == nil {
@@ -222,7 +222,7 @@ func registerCluster(reg *obs.Registry, rt *cluster.Router) {
 		reg.GaugeFunc("fepiad_cluster_fetch_failures_total", "Federation GETs that failed after retries or were breaker-rejected.",
 			func() float64 { return float64(rt.PeerStats(id).FetchFailures) }, obs.L("peer", id))
 		reg.GaugeFunc("fepiad_cluster_peer_breaker_state", "Per-peer circuit-breaker state: 0 closed, 1 half-open, 2 open, -1 disabled.",
-			func() float64 { return peerBreakerStateValue(rt.PeerStats(id).Breaker.State) }, obs.L("peer", id))
+			func() float64 { return breakerStateValue(rt.PeerStats(id).Breaker.State) }, obs.L("peer", id))
 	}
 	ring := rt.Ring()
 	for _, id := range ring.Nodes() {
@@ -232,9 +232,10 @@ func registerCluster(reg *obs.Registry, rt *cluster.Router) {
 	}
 }
 
-// peerBreakerStateValue maps a breaker snapshot's state string onto the
-// same gauge scale as breakerStateValue.
-func peerBreakerStateValue(state string) float64 {
+// breakerStateValue maps a breaker state name (breakerState, or a peer
+// breaker snapshot's) onto the gauge scale: 0 closed, 1 half-open, 2
+// open, -1 disabled.
+func breakerStateValue(state string) float64 {
 	switch state {
 	case "open":
 		return 2
@@ -242,21 +243,6 @@ func peerBreakerStateValue(state string) float64 {
 		return 1
 	case "disabled":
 		return -1
-	}
-	return 0
-}
-
-// breakerStateValue maps a breaker's state onto the gauge scale: 0
-// closed, 1 half-open, 2 open, -1 disabled (nil breaker).
-func breakerStateValue(b *faults.Breaker) float64 {
-	if b == nil {
-		return -1
-	}
-	switch b.Snapshot().State {
-	case "open":
-		return 2
-	case "half_open":
-		return 1
 	}
 	return 0
 }

@@ -5,7 +5,8 @@
 // over the worker pool), shares one process-wide radius cache across every
 // request so structurally identical subproblems are solved once, and
 // answers with the same spec.ResultJSON documents the CLIs emit — served
-// and in-process analyses are byte-identical.
+// and in-process analyses are byte-identical. Both endpoints run one
+// staged pipeline (see request); /v1/analyze is a batch of one.
 //
 // Production posture: every request runs under a deadline and a body-size
 // limit; a bounded admission gate sheds load with 503 + Retry-After
@@ -35,13 +36,14 @@
 // failure-rate window; transient solve failures are retried under a
 // decorrelated-jitter policy; and with Config.Degraded set, an open
 // breaker or an engine failure is answered from the shared radius cache
-// with a "degraded": true marker and a Warning header, falling through
-// to 503 + Retry-After only on a true cache miss. The faults.Injector in
+// with meta.degraded set and a Warning header, falling through to 503 +
+// Retry-After only on a true cache miss. The faults.Injector in
 // Config drives the chaos test suite and the FEPIAD_FAULTS knob; it is
 // nil — a no-op — in production.
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -150,8 +152,8 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// Degraded enables degraded-mode serving: when a breaker is open or
 	// the engine fails, /v1/ endpoints answer from the shared radius
-	// cache with a "degraded": true marker instead of failing, and 503
-	// only on a true cache miss.
+	// cache with meta.degraded set instead of failing, and 503 only on a
+	// true cache miss.
 	Degraded bool
 	// Kernel routes kernel-eligible linear features through the
 	// vectorized SoA analytic kernel (batch.Options.Kernel). Results are
@@ -200,11 +202,6 @@ type Config struct {
 	// ForwardTimeout bounds each forward attempt to a peer (0 selects
 	// cluster.DefaultForwardTimeout).
 	ForwardTimeout time.Duration
-	// CompatV1Degraded re-emits the deprecated top-level "degraded"
-	// result marker alongside ResponseMeta.Degraded for clients that
-	// have not migrated (-compat-v1-degraded; one release of grace, see
-	// docs/SERVICE.md).
-	CompatV1Degraded bool
 
 	// SLOLatencyP99MS is the latency objective in milliseconds: at most
 	// 1% of successful requests may exceed it (0 selects the
@@ -555,47 +552,211 @@ func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 	s.writeVars(w)
 }
 
+// request is one /v1/analyze or /v1/batch request on its way through
+// the stage pipeline: parse → route → breaker → admit → solve →
+// degraded fallback → stamp meta → encode. /v1/analyze is the single
+// shape, a batch of one that differs on the wire in three ways only:
+// the route stage relays its raw body verbatim, the encode stage writes
+// results[0] bare, and engine errors carry no systems[i] prefix.
+type request struct {
+	endpoint string
+	single   bool
+	breaker  *faults.Breaker
+	// body is the raw request body, kept only for the single shape's
+	// relay to a ring owner.
+	body    []byte
+	systems []*spec.System
+	// forwarded marks a request a peer forwarded in: it is never
+	// forwarded again (single-hop rule).
+	forwarded bool
+
+	// Set by the route stage: the systems this node solves, the rest
+	// grouped by ring owner, and whether the local solve stands in for
+	// an unreachable owner (served with meta.degraded).
+	local        []int
+	remote       map[string][]int
+	peerDegraded bool
+}
+
+// handleAnalyze serves POST /v1/analyze: one spec document in, one
+// ResultJSON out, identical to the in-process library path modulo the
+// ResponseMeta block — the single shape of the shared pipeline.
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	q := &request{endpoint: epAnalyze, single: true, breaker: s.analyzeBreaker}
+	s.serve(w, r, q, func(b []byte) error {
+		sys, err := spec.Parse(b)
+		q.systems = []*spec.System{sys}
+		return err
+	})
+}
+
+// handleBatch serves POST /v1/batch: many systems fanned over the batch
+// engine's worker pool against the shared radius cache, results in
+// request order — the batch shape of the shared pipeline.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	q := &request{endpoint: epBatch, breaker: s.batchBreaker}
+	s.serve(w, r, q, func(b []byte) (err error) {
+		q.systems, err = spec.ParseBatch(b)
+		return err
+	})
+}
+
+// serve runs a request through the pipeline, decode filling q.systems
+// in the parse stage. Each stage that answers the request itself — a
+// relay, a shed, an error, a degraded fallback — ends the pipeline.
+//
+// With a cluster configured, systems owned by another node are served
+// there: the single shape is relayed before the breaker, and a batch's
+// remote systems travel as one concurrent sub-batch per owner while this
+// node solves its own. An unreachable owner's systems are solved locally
+// with meta.degraded set when degraded mode is on, so killing a node
+// drops zero requests. When the endpoint's breaker is open or the engine
+// fails, degraded mode answers from the radius cache (answerDegraded).
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, q *request, decode func([]byte) error) {
+	q.forwarded = r.Header.Get(cluster.ForwardedFromHeader) != ""
+	// A relayed body may still be in the transport's hands after Forward
+	// returns, so a request that can be relayed keeps its buffer.
+	var ok bool
+	if q.body, ok = s.parse(q.endpoint, w, r, q.single && s.router != nil && !q.forwarded, decode); !ok {
+		return
+	}
+	if s.route(w, r, q) {
+		return
+	}
+	if !s.allowEndpoint(q.breaker, r) {
+		s.answerDegraded(w, r, q, "circuit_open", q.endpoint+" engine circuit open: recent solves kept failing")
+		return
+	}
+	release, ok := s.admit(q.endpoint, w, r)
+	if !ok {
+		// The request never reached the engine; return any half-open
+		// probe slot the breaker stage reserved or the breaker wedges.
+		if q.breaker != nil {
+			q.breaker.CancelProbe()
+		}
+		return
+	}
+	defer release()
+
+	ctx, cancel := s.requestContext(r.Context())
+	defer cancel()
+	if s.beforeAnalyze != nil {
+		s.beforeAnalyze()
+	}
+	results := make([]spec.ResultJSON, len(q.systems))
+	forwarded, ok := s.solve(ctx, w, r, q, results)
+	if !ok {
+		return
+	}
+	sp := obs.StartSpan(r.Context(), "encode")
+	s.writeResults(w, r, q, results, forwarded)
+	sp.End(nil)
+}
+
+// parse is the first stage of every /v1 endpoint: read the size-capped
+// body into a bodyPool buffer and decode it under the "parse" span,
+// answering a rejected body or a decode error itself. The decoders copy
+// everything they keep, so the buffer goes back to the pool unless keep
+// asks for the raw body back.
+func (s *Server) parse(endpoint string, w http.ResponseWriter, r *http.Request, keep bool, decode func([]byte) error) ([]byte, bool) {
+	sp := obs.StartSpan(r.Context(), "parse")
+	buf := getBuf()
+	var err error
+	*buf, err = appendAll(*buf, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		putBuf(buf)
+		sp.End(errors.New("body rejected"))
+		s.metrics.errs[endpoint].Inc()
+		obs.TraceFrom(r.Context()).SetAttr("outcome", "invalid_spec")
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, spec.ErrorJSON{Error: "reading body: " + err.Error(), Kind: "invalid_spec"})
+		return nil, false
+	}
+	err = decode(*buf)
+	sp.End(err)
+	if err == nil && keep {
+		return *buf, true
+	}
+	putBuf(buf)
+	if err != nil {
+		s.fail(endpoint, w, r, err)
+		return nil, false
+	}
+	return nil, true
+}
+
+// route is the ring stage: it splits the systems into the ones this
+// node solves and, per remote owner, the ones a peer does. A solo node
+// and a forwarded-in request solve everything locally. The single shape
+// is relayed to a remote owner right here; route reports true when that
+// relay has answered the request.
+func (s *Server) route(w http.ResponseWriter, r *http.Request, q *request) bool {
+	for i, sys := range q.systems {
+		owner := ""
+		if s.router != nil && !q.forwarded {
+			owner = s.router.Owner(sys.RouteKey())
+		}
+		switch {
+		case owner == "" || owner == s.router.Self():
+			q.local = append(q.local, i)
+		case q.single:
+			if s.relay(w, r, q, owner) {
+				return true
+			}
+			// Owner unreachable and degraded mode on: answer locally so
+			// the request is served, not dropped, and mark it degraded.
+			q.peerDegraded = true
+			q.local = append(q.local, i)
+		default:
+			if q.remote == nil {
+				q.remote = make(map[string][]int)
+			}
+			q.remote[owner] = append(q.remote[owner], i)
+		}
+	}
+	return false
+}
+
 // admit reserves an in-flight slot, or sheds the request with 503 +
 // Retry-After when the gate is saturated (or an admission fault is
 // injected). The returned release func must be called exactly once iff
 // admitted.
 func (s *Server) admit(endpoint string, w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
 	sp := obs.StartSpan(r.Context(), "admit")
-	if err := faults.Inject(faults.With(r.Context(), s.cfg.Injector), faults.Admission); err != nil {
-		sp.Set("admitted", "false")
-		sp.End(err)
-		obs.TraceFrom(r.Context()).SetAttr("outcome", "shed")
-		s.metrics.rejected.Inc()
-		s.metrics.errs[endpoint].Inc()
-		s.retryAfterHeader(w)
-		writeError(w, http.StatusServiceUnavailable, spec.ErrorJSON{
-			Error: "admission refused: " + err.Error(),
-			Kind:  "overloaded",
-		})
-		return nil, false
+	refused := "server saturated: too many analyses in flight"
+	err := faults.Inject(faults.With(r.Context(), s.cfg.Injector), faults.Admission)
+	if err == nil {
+		select {
+		case s.gate <- struct{}{}:
+			sp.Set("admitted", "true")
+			sp.End(nil)
+			s.metrics.inFlight.Add(1)
+			return func() {
+				s.metrics.inFlight.Add(-1)
+				<-s.gate
+			}, true
+		default:
+		}
+	} else {
+		refused = "admission refused: " + err.Error()
 	}
-	select {
-	case s.gate <- struct{}{}:
-		sp.Set("admitted", "true")
-		sp.End(nil)
-		s.metrics.inFlight.Add(1)
-		return func() {
-			s.metrics.inFlight.Add(-1)
-			<-s.gate
-		}, true
-	default:
-		sp.Set("admitted", "false")
-		sp.End(nil)
-		obs.TraceFrom(r.Context()).SetAttr("outcome", "shed")
-		s.metrics.rejected.Inc()
-		s.metrics.errs[endpoint].Inc()
-		s.retryAfterHeader(w)
-		writeError(w, http.StatusServiceUnavailable, spec.ErrorJSON{
-			Error: "server saturated: too many analyses in flight",
-			Kind:  "overloaded",
-		})
-		return nil, false
-	}
+	sp.Set("admitted", "false")
+	sp.End(err)
+	s.metrics.rejected.Inc()
+	s.shed(endpoint, w, r, "shed", "overloaded", refused)
+	return nil, false
+}
+
+// shed answers 503 + Retry-After: an admission refusal, or degraded
+// mode without a cached answer.
+func (s *Server) shed(endpoint string, w http.ResponseWriter, r *http.Request, outcome, kind, msg string) {
+	obs.TraceFrom(r.Context()).SetAttr("outcome", outcome)
+	s.metrics.errs[endpoint].Inc()
+	s.retryAfterHeader(w)
+	writeError(w, http.StatusServiceUnavailable, spec.ErrorJSON{Error: msg, Kind: kind})
 }
 
 // retryAfterHeader attaches the Retry-After hint every 503 carries.
@@ -603,154 +764,171 @@ func (s *Server) retryAfterHeader(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 }
 
-// readBody reads a size-capped request body into a bodyPool buffer.
-// The decoders copy everything they keep, so the caller hands the
-// buffer back with putBuf once the body is parsed.
-func (s *Server) readBody(endpoint string, w http.ResponseWriter, r *http.Request) (*[]byte, bool) {
-	body := getBuf()
-	var err error
-	*body, err = appendAll(*body, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		putBuf(body)
-		s.metrics.errs[endpoint].Inc()
-		obs.TraceFrom(r.Context()).SetAttr("outcome", "invalid_spec")
-		status, kind := http.StatusBadRequest, "invalid_spec"
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status, kind = http.StatusRequestEntityTooLarge, "invalid_spec"
-		}
-		writeError(w, status, spec.ErrorJSON{Error: "reading body: " + err.Error(), Kind: kind})
-		return nil, false
-	}
-	return body, true
+// requestContext derives the context an admitted request analyses
+// under: the per-request deadline plus the fault injector.
+func (s *Server) requestContext(parent context.Context) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithTimeout(parent, s.cfg.Timeout)
+	return faults.With(ctx, s.cfg.Injector), cancel
 }
 
-// handleAnalyze serves POST /v1/analyze: one spec document in, one
-// ResultJSON out, identical to the in-process library path modulo the
-// ResponseMeta block. With a cluster configured, a spec whose RouteKey
-// hashes to another node is relayed verbatim to its ring owner; when the
-// owner is unreachable and degraded mode is on, the request is served
-// locally with meta.degraded set so killing a node drops zero requests.
-// When the endpoint's breaker is open or the engine fails, degraded mode
-// (if enabled) answers from the radius cache instead; see answerDegraded.
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	psp := obs.StartSpan(r.Context(), "parse")
-	body, ok := s.readBody(epAnalyze, w, r)
-	if !ok {
-		psp.End(errors.New("body rejected"))
-		return
+// solve is the solve stage. Each peer's sub-batch travels concurrently
+// with the local solve and writes only its own request-order slots; a
+// peer whose sub-batch fails is covered by a local degraded solve unless
+// degraded mode is off, in which case the whole batch fails with the
+// peer error. It reports whether any answer came from a peer, and false
+// when it has answered the request itself.
+func (s *Server) solve(ctx context.Context, w http.ResponseWriter, r *http.Request, q *request, results []spec.ResultJSON) (forwarded, ok bool) {
+	owners := make([]string, 0, len(q.remote))
+	for owner := range q.remote {
+		owners = append(owners, owner)
 	}
-	sys, err := spec.Parse(*body)
-	psp.End(err)
-	forwarded := r.Header.Get(cluster.ForwardedFromHeader) != ""
-	relayable := s.router != nil && !forwarded
-	if !relayable {
-		// A relayed body may still be in the transport's hands after
-		// Forward returns, so only a request that cannot be relayed
-		// recycles its buffer.
-		putBuf(body)
+	sort.Strings(owners)
+	groupErrs := make([]error, len(owners))
+	var wg sync.WaitGroup
+	for gi, owner := range owners {
+		wg.Add(1)
+		go func(gi int, owner string) {
+			defer wg.Done()
+			groupErrs[gi] = s.forwardSubBatch(ctx, r, owner, q.remote[owner], q.systems, results)
+		}(gi, owner)
 	}
+	err := s.solveLocal(ctx, q, q.local, results, q.peerDegraded)
+	wg.Wait()
+	s.breakerReport(q.breaker, err)
 	if err != nil {
-		s.fail(epAnalyze, w, r, err)
-		return
+		s.fallback(w, r, q, err)
+		return false, false
 	}
 
-	degradedPeer := false
-	if relayable {
-		if owner := s.router.Owner(sys.RouteKey()); owner != s.router.Self() {
-			if s.relay(epAnalyze, w, r, owner, "/v1/analyze", *body) {
-				return
+	fallbackN := 0
+	for gi, owner := range owners {
+		gerr := groupErrs[gi]
+		if gerr == nil {
+			forwarded = true
+			continue
+		}
+		// A passed deadline or a gone client is not the peer's fault; with
+		// degraded mode off the peer failure is terminal.
+		if ctxErr := ctx.Err(); ctxErr != nil || !s.cfg.Degraded {
+			s.fail(q.endpoint, w, r, cmp.Or(ctxErr, gerr))
+			return false, false
+		}
+		obs.Logger(r.Context()).Warn("peer sub-batch failed, serving locally degraded",
+			"peer", owner, "error", gerr.Error())
+		if err := s.solveLocal(ctx, q, q.remote[owner], results, true); err != nil {
+			s.fallback(w, r, q, err)
+			return false, false
+		}
+		fallbackN += len(q.remote[owner])
+	}
+	s.metrics.analyses.Add(uint64(len(q.local) + fallbackN))
+	if q.peerDegraded {
+		fallbackN += len(q.local)
+	}
+	if fallbackN > 0 {
+		// Served locally because the ring owner was unreachable: set the
+		// Warning header before the status is written.
+		s.metrics.clusterDegraded.Add(uint64(fallbackN))
+		obs.TraceFrom(r.Context()).SetAttr("degraded", "true")
+		w.Header().Set("Warning", `199 fepiad "degraded: ring owner unreachable, served locally"`)
+	}
+	return q.forwarded || forwarded, true
+}
+
+// solveLocal runs the systems at idx through the engine on this node,
+// writing each result, its meta block stamped, into its request-order
+// slot. It is the server's one call into batch.AnalyzeOneContext.
+func (s *Server) solveLocal(ctx context.Context, q *request, idx []int, results []spec.ResultJSON, degraded bool) error {
+	// With any anytime system in the group, the scheduling loop must not
+	// abort at the deadline — every remaining system still gets its
+	// certified partial answer. The per-system calls keep the real ctx
+	// (closure below), so genuine cancellation still fails them, which
+	// fails ForEach through the returned error.
+	runCtx := ctx
+	for _, i := range idx {
+		if s.anytime(q.systems[i]) {
+			runCtx = context.WithoutCancel(ctx)
+			break
+		}
+	}
+	return batch.ForEach(runCtx, len(idx), s.cfg.Workers, func(k int) error {
+		i := idx[k]
+		sys := q.systems[i]
+		rs := &batch.RequestStats{}
+		sctx := batch.WithRequestStats(ctx, rs)
+		job, opts := s.engineInput(sys)
+		a, err := batch.AnalyzeOneContext(sctx, job, opts)
+		if err != nil {
+			if q.single {
+				return err
 			}
-			// Owner unreachable and degraded mode on: answer locally so
-			// the request is served, not dropped, and mark it degraded.
-			degradedPeer = true
+			return fmt.Errorf("systems[%d] (%s): %w", i, sys.Name, err)
 		}
-	}
-
-	if !s.allowEndpoint(s.analyzeBreaker, r) {
-		s.answerDegraded(epAnalyze, w, r, []*spec.System{sys}, false, forwarded, "circuit_open",
-			"analyze engine circuit open: recent solves kept failing")
-		return
-	}
-	release, ok := s.admit(epAnalyze, w, r)
-	if !ok {
-		// The request never reached the engine; return any half-open
-		// probe slot breakerAllow reserved or the breaker wedges.
-		s.breakerCancel(s.analyzeBreaker)
-		return
-	}
-	defer release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	ctx = faults.With(ctx, s.cfg.Injector)
-	rs := &batch.RequestStats{}
-	ctx = batch.WithRequestStats(ctx, rs)
-	if s.beforeAnalyze != nil {
-		s.beforeAnalyze()
-	}
-	// ShareBoundaries: the analysis is encoded to JSON and dropped, so
-	// cached boundary points need no defensive clone — the warm-hit path
-	// stays allocation-free.
-	a, err := batch.AnalyzeOneContext(ctx, batch.Job{Features: sys.Features, Perturbation: sys.Perturbation},
-		batch.Options{Cache: s.cache, Core: sys.Options, Retry: s.retry, ShareBoundaries: true,
-			Kernel: s.cfg.Kernel, Anytime: s.anytime(sys)})
-	s.breakerReport(s.analyzeBreaker, err)
-	if err != nil {
-		if s.cfg.Degraded && degradable(err) {
-			s.answerDegraded(epAnalyze, w, r, []*spec.System{sys}, false, forwarded, "degraded",
-				"engine failed and no cached answer exists: "+err.Error())
-			return
-		}
-		s.fail(epAnalyze, w, r, err)
-		return
-	}
-	s.metrics.analyses.Inc()
-	res := spec.Encode(sys.Name, a)
-	res.Meta = s.meta(forwarded, degradedPeer, rs.Source())
-	if anyLowerBound(a) {
-		res.Meta.Anytime = true
-		s.metrics.anytimePartial.Inc()
-		obs.TraceFrom(r.Context()).SetAttr("anytime", "partial")
-	}
-	if s.cfg.CompatV1Degraded && degradedPeer {
-		res.Degraded = true
-	}
-	if degradedPeer {
-		s.noteClusterDegraded(w, r, 1)
-	}
-	esp := obs.StartSpan(r.Context(), "encode")
-	s.serveHeaders(w, r, forwarded)
-	writeJSON(w, http.StatusOK, res)
-	esp.End(nil)
+		results[i] = spec.Encode(sys.Name, a)
+		results[i].Meta = s.stamp(sctx, a, q.forwarded, degraded, rs.Source())
+		return nil
+	})
 }
 
-// relay forwards a request's raw body to its ring owner and relays the
-// peer's verdict verbatim — status, body, and wire headers — so a
-// forwarded response is byte-identical to asking the owner directly. It
-// returns true when the response has been written (relayed, or failed
-// terminally) and false when the caller should fall back to serving the
-// request locally in degraded mode.
-//
-// The forward carries X-Fepiad-Trace (this trace's ID plus the forward
-// span's ID) so the owner continues the trace; the owner's span subtree
-// comes back on X-Fepiad-Spans and is stitched under the forward span,
-// giving the ingress ONE cross-node trace on /debug/traces. The forward
-// span is annotated with the peer, the HTTP attempts spent, and the peer
-// breaker's state.
-func (s *Server) relay(endpoint string, w http.ResponseWriter, r *http.Request, owner, path string, body []byte) bool {
-	sp := obs.StartSpan(r.Context(), "forward")
-	sp.Set("peer", owner)
-	tr := obs.TraceFrom(r.Context())
-	resp, err := s.router.Forward(r.Context(), owner, path, body, s.forwardHeader(r, tr, sp))
-	if resp != nil {
-		sp.SetInt("attempts", resp.Attempts)
+// engineInput is the engine job for one system and the options every
+// serving path runs it under. ShareBoundaries: results are encoded to
+// JSON and dropped, so cached boundary points need no defensive clone —
+// the warm-hit path stays allocation-free.
+func (s *Server) engineInput(sys *spec.System) (batch.Job, batch.Options) {
+	return batch.Job{Features: sys.Features, Perturbation: sys.Perturbation},
+		batch.Options{Cache: s.cache, Core: sys.Options, Retry: s.retry, ShareBoundaries: true,
+			Kernel: s.cfg.Kernel, Anytime: s.anytime(sys)}
+}
+
+// stamp builds the meta block of a locally computed answer (docs/SERVICE.md,
+// "Response metadata"). An analysis holding a certified partial radius
+// is marked meta.anytime, counted, and tagged anytime=partial on the
+// request's trace.
+func (s *Server) stamp(ctx context.Context, a core.Analysis, forwarded, degraded bool, cache string) *spec.ResponseMeta {
+	m := s.meta(forwarded, degraded, cache)
+	for i := range a.Radii {
+		if a.Radii[i].Kind == core.LowerBound {
+			m.Anytime = true
+			s.metrics.anytimePartial.Inc()
+			obs.TraceFrom(ctx).SetAttr("anytime", "partial")
+			break
+		}
 	}
-	sp.Set("breaker", s.router.PeerStats(owner).Breaker.State)
-	sp.End(err)
+	return m
+}
+
+// writeResults writes the wire headers and a 200 body: results[0] bare
+// for the single shape, else the BatchResponse whose top-level meta
+// folds the per-result blocks — the coldest cache source, degraded or
+// anytime when any result is — with forwarded set when the request or
+// any answer crossed the ring.
+func (s *Server) writeResults(w http.ResponseWriter, r *http.Request, q *request, results []spec.ResultJSON, forwarded bool) {
+	s.serveHeaders(w, r, q.forwarded)
+	if q.single {
+		writeJSON(w, http.StatusOK, results[0])
+		return
+	}
+	top := s.meta(forwarded, false, "")
+	for i := range results {
+		if m := results[i].Meta; m != nil {
+			top.Cache = spec.WorstCache(top.Cache, m.Cache)
+			top.Degraded = top.Degraded || m.Degraded
+			top.Anytime = top.Anytime || m.Anytime
+		}
+	}
+	writeJSON(w, http.StatusOK, spec.BatchResponse{Results: results, Meta: top})
+}
+
+// relay forwards a single-shape request's raw body to its ring owner and
+// relays the peer's verdict verbatim — status, body, and wire headers —
+// so a forwarded response is byte-identical to asking the owner
+// directly. It returns true when the response has been written
+// (relayed, or failed terminally) and false when the caller should fall
+// back to serving the request locally in degraded mode.
+func (s *Server) relay(w http.ResponseWriter, r *http.Request, q *request, owner string) bool {
+	resp, err := s.forward(r.Context(), r, owner, "/v1/analyze", q.body, 0)
 	if err == nil {
-		s.stitchRemoteSpans(tr, sp, resp)
-		tr.SetAttr("forwarded_to", owner)
+		obs.TraceFrom(r.Context()).SetAttr("forwarded_to", owner)
 		for _, h := range [...]string{"Content-Type", "Warning", "Retry-After", cluster.NodeHeader} {
 			if v := resp.Header.Get(h); v != "" {
 				w.Header().Set(h, v)
@@ -761,19 +939,16 @@ func (s *Server) relay(endpoint string, w http.ResponseWriter, r *http.Request, 
 		_, _ = w.Write(resp.Body)
 		return true
 	}
-	if ctxErr := r.Context().Err(); ctxErr != nil {
-		// The client went away or the deadline expired while forwarding;
-		// the peer is not to blame and local serving cannot help.
-		s.fail(endpoint, w, r, ctxErr)
+	// A client gone or a deadline passed while forwarding is not the
+	// peer's fault, and local serving cannot help; with degraded mode off
+	// the peer failure is terminal.
+	if ctxErr := r.Context().Err(); ctxErr != nil || !s.cfg.Degraded {
+		s.fail(q.endpoint, w, r, cmp.Or(ctxErr, err))
 		return true
 	}
-	if s.cfg.Degraded {
-		obs.Logger(r.Context()).Warn("peer forward failed, serving locally degraded",
-			"peer", owner, "error", err.Error())
-		return false
-	}
-	s.fail(endpoint, w, r, err)
-	return true
+	obs.Logger(r.Context()).Warn("peer forward failed, serving locally degraded",
+		"peer", owner, "error", err.Error())
+	return false
 }
 
 // spanExport is the X-Fepiad-Spans wire document: the answering node's
@@ -783,15 +958,34 @@ type spanExport struct {
 	Spans []obs.SpanData `json:"spans"`
 }
 
-// forwardHeader clones the inbound headers a forward propagates and adds
-// the X-Fepiad-Trace context — the trace ID plus the forward span that
-// becomes the remote server span's parent.
-func (s *Server) forwardHeader(r *http.Request, tr *obs.Trace, sp *obs.Span) http.Header {
+// forward sends body to a peer's path under a "forward" span annotated
+// with the peer, the sub-batch size (systems > 0), the HTTP attempts
+// spent, and the peer breaker's state. It carries X-Fepiad-Trace (this
+// trace's ID plus the forward span's ID) so the owner continues the
+// trace; the owner's span subtree comes back on X-Fepiad-Spans and is
+// stitched under the forward span, giving the ingress ONE cross-node
+// trace on /debug/traces.
+func (s *Server) forward(ctx context.Context, r *http.Request, owner, path string, body []byte, systems int) (*cluster.Response, error) {
+	sp := obs.StartSpan(r.Context(), "forward")
+	sp.Set("peer", owner)
+	if systems > 0 {
+		sp.SetInt("systems", systems)
+	}
+	tr := obs.TraceFrom(r.Context())
 	hdr := r.Header.Clone()
 	if tr != nil {
 		hdr.Set(cluster.TraceHeader, obs.FormatTraceHeader(tr.TraceID(), sp.ID()))
 	}
-	return hdr
+	resp, err := s.router.Forward(ctx, owner, path, body, hdr)
+	if resp != nil {
+		sp.SetInt("attempts", resp.Attempts)
+	}
+	sp.Set("breaker", s.router.PeerStats(owner).Breaker.State)
+	sp.End(err)
+	if err == nil {
+		s.stitchRemoteSpans(tr, sp, resp)
+	}
+	return resp, err
 }
 
 // stitchRemoteSpans merges the span subtree a peer exported on
@@ -799,18 +993,10 @@ func (s *Server) forwardHeader(r *http.Request, tr *obs.Trace, sp *obs.Span) htt
 // timeline. A missing or malformed header is ignored: stitching is an
 // observability bonus, never a serving dependency.
 func (s *Server) stitchRemoteSpans(tr *obs.Trace, sp *obs.Span, resp *cluster.Response) {
-	if tr == nil || resp == nil {
-		return
-	}
-	raw := resp.Header.Get(cluster.SpansHeader)
-	if raw == "" {
-		return
-	}
 	var ex spanExport
-	if err := json.Unmarshal([]byte(raw), &ex); err != nil {
-		return
+	if tr != nil && resp != nil && json.Unmarshal([]byte(resp.Header.Get(cluster.SpansHeader)), &ex) == nil {
+		tr.Stitch(ex.Spans, sp.StartOffsetUS())
 	}
-	tr.Stitch(ex.Spans, sp.StartOffsetUS())
 }
 
 // meta assembles the shared ResponseMeta block every /v1 response
@@ -823,17 +1009,6 @@ func (s *Server) meta(forwarded, degraded bool, cache string) *spec.ResponseMeta
 // server-wide flag or the spec's own opt-in.
 func (s *Server) anytime(sys *spec.System) bool {
 	return s.cfg.Anytime || sys.File.Anytime
-}
-
-// anyLowerBound reports whether an analysis carries at least one
-// certified partial radius — the condition for meta.anytime.
-func anyLowerBound(a core.Analysis) bool {
-	for i := range a.Radii {
-		if a.Radii[i].Kind == core.LowerBound {
-			return true
-		}
-	}
-	return false
 }
 
 // serveHeaders stamps the wire headers of a locally served /v1 response:
@@ -865,15 +1040,6 @@ func (s *Server) serveHeaders(w http.ResponseWriter, r *http.Request, forwarded 
 // bounded header instead of a megabyte of response metadata.
 const maxExportSpans = 64
 
-// noteClusterDegraded records n requests served locally because their
-// ring owner was unreachable: the cluster-degraded counter, the trace
-// marker, and the Warning header (set before the status is written).
-func (s *Server) noteClusterDegraded(w http.ResponseWriter, r *http.Request, n int) {
-	s.metrics.clusterDegraded.Add(uint64(n))
-	obs.TraceFrom(r.Context()).SetAttr("degraded", "true")
-	w.Header().Set("Warning", `199 fepiad "degraded: ring owner unreachable, served locally"`)
-}
-
 // handleRing serves GET /v1/ring: this node's view of the cluster — the
 // membership, each member's key-space share, and the virtual-point count.
 // Solo nodes report themselves as the only member with share 1.
@@ -904,206 +1070,6 @@ func (s *Server) handleRing(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// handleBatch serves POST /v1/batch: many systems fanned over the batch
-// engine's worker pool against the shared radius cache, results in
-// request order. Each system keeps its own norm/options, so the fan-out
-// runs per-system jobs (batch.AnalyzeOneContext) over the engine's
-// scheduling substrate rather than one homogeneous batch.Analyze call.
-//
-// With a cluster configured, the batch is partitioned by ring owner:
-// self-owned systems solve locally while each peer's systems travel as
-// one concurrent sub-batch (re-marshaled from the validated specs) and
-// scatter back into their request-order slots. A peer whose sub-batch
-// fails is covered by a local degraded solve — zero dropped systems —
-// unless degraded mode is off, in which case the whole batch fails with
-// the peer error. Forwarded-in batches (single-hop rule) solve entirely
-// locally.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	psp := obs.StartSpan(r.Context(), "parse")
-	body, ok := s.readBody(epBatch, w, r)
-	if !ok {
-		psp.End(errors.New("body rejected"))
-		return
-	}
-	systems, err := spec.ParseBatch(*body)
-	putBuf(body)
-	psp.End(err)
-	if err != nil {
-		s.fail(epBatch, w, r, err)
-		return
-	}
-
-	forwarded := r.Header.Get(cluster.ForwardedFromHeader) != ""
-	var remote map[string][]int
-	if s.router != nil && !forwarded {
-		self := s.router.Self()
-		for i, sys := range systems {
-			if owner := s.router.Owner(sys.RouteKey()); owner != self {
-				if remote == nil {
-					remote = make(map[string][]int)
-				}
-				remote[owner] = append(remote[owner], i)
-			}
-		}
-	}
-
-	if !s.allowEndpoint(s.batchBreaker, r) {
-		s.answerDegraded(epBatch, w, r, systems, true, forwarded, "circuit_open",
-			"batch engine circuit open: recent solves kept failing")
-		return
-	}
-	release, ok := s.admit(epBatch, w, r)
-	if !ok {
-		// The request never reached the engine; return any half-open
-		// probe slot breakerAllow reserved or the breaker wedges.
-		s.breakerCancel(s.batchBreaker)
-		return
-	}
-	defer release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	ctx = faults.With(ctx, s.cfg.Injector)
-	if s.beforeAnalyze != nil {
-		s.beforeAnalyze()
-	}
-	results := make([]spec.ResultJSON, len(systems))
-
-	// Peer sub-batches travel concurrently with the local solve; each
-	// writes only its own request-order slots of results.
-	owners := make([]string, 0, len(remote))
-	for owner := range remote {
-		owners = append(owners, owner)
-	}
-	sort.Strings(owners)
-	groupErrs := make([]error, len(owners))
-	var wg sync.WaitGroup
-	for gi, owner := range owners {
-		wg.Add(1)
-		go func(gi int, owner string) {
-			defer wg.Done()
-			groupErrs[gi] = s.forwardSubBatch(ctx, r, owner, remote[owner], systems, results)
-		}(gi, owner)
-	}
-
-	local := make([]int, 0, len(systems))
-	isRemote := make([]bool, len(systems))
-	for _, idx := range remote {
-		for _, i := range idx {
-			isRemote[i] = true
-		}
-	}
-	for i := range systems {
-		if !isRemote[i] {
-			local = append(local, i)
-		}
-	}
-	lerr := s.solveLocal(ctx, systems, local, results, forwarded, false)
-	wg.Wait()
-	s.breakerReport(s.batchBreaker, lerr)
-	if lerr != nil {
-		if s.cfg.Degraded && degradable(lerr) {
-			s.answerDegraded(epBatch, w, r, systems, true, forwarded, "degraded",
-				"engine failed and no complete cached answer exists: "+lerr.Error())
-			return
-		}
-		s.fail(epBatch, w, r, lerr)
-		return
-	}
-
-	// Failed peer groups fall back to local degraded solves so a dead
-	// node never drops systems; with degraded mode off the peer failure
-	// is terminal for the whole batch.
-	degradedN, forwardedAny := 0, false
-	for gi, owner := range owners {
-		gerr := groupErrs[gi]
-		if gerr == nil {
-			forwardedAny = true
-			continue
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			s.fail(epBatch, w, r, ctxErr)
-			return
-		}
-		if !s.cfg.Degraded {
-			s.fail(epBatch, w, r, gerr)
-			return
-		}
-		obs.Logger(r.Context()).Warn("peer sub-batch failed, serving locally degraded",
-			"peer", owner, "error", gerr.Error())
-		if err := s.solveLocal(ctx, systems, remote[owner], results, forwarded, true); err != nil {
-			if degradable(err) {
-				s.answerDegraded(epBatch, w, r, systems, true, forwarded, "degraded",
-					"engine failed and no complete cached answer exists: "+err.Error())
-				return
-			}
-			s.fail(epBatch, w, r, err)
-			return
-		}
-		degradedN += len(remote[owner])
-	}
-
-	s.metrics.analyses.Add(uint64(len(local) + degradedN))
-	top := s.meta(forwarded || forwardedAny, false, "")
-	for i := range results {
-		if m := results[i].Meta; m != nil {
-			top.Cache = spec.WorstCache(top.Cache, m.Cache)
-			if m.Degraded {
-				top.Degraded = true
-			}
-			if m.Anytime {
-				top.Anytime = true
-			}
-		}
-	}
-	if degradedN > 0 {
-		s.noteClusterDegraded(w, r, degradedN)
-	}
-	esp := obs.StartSpan(r.Context(), "encode")
-	s.serveHeaders(w, r, forwarded)
-	writeJSON(w, http.StatusOK, spec.BatchResponse{Results: results, Meta: top})
-	esp.End(nil)
-}
-
-// solveLocal runs the systems at idx through the engine on this node,
-// writing each result (with its meta block) into its request-order slot.
-func (s *Server) solveLocal(ctx context.Context, systems []*spec.System, idx []int, results []spec.ResultJSON, forwarded, degraded bool) error {
-	// With any anytime system in the group, the scheduling loop must not
-	// abort at the deadline — every remaining system still gets its
-	// certified partial answer. The per-system calls keep the real ctx
-	// (closure below), so genuine cancellation still fails them, which
-	// fails ForEach through the returned error.
-	runCtx := ctx
-	for _, i := range idx {
-		if s.anytime(systems[i]) {
-			runCtx = context.WithoutCancel(ctx)
-			break
-		}
-	}
-	return batch.ForEach(runCtx, len(idx), s.cfg.Workers, func(k int) error {
-		i := idx[k]
-		sys := systems[i]
-		rs := &batch.RequestStats{}
-		a, err := batch.AnalyzeOneContext(batch.WithRequestStats(ctx, rs),
-			batch.Job{Features: sys.Features, Perturbation: sys.Perturbation},
-			batch.Options{Cache: s.cache, Core: sys.Options, Retry: s.retry, ShareBoundaries: true,
-				Kernel: s.cfg.Kernel, Anytime: s.anytime(sys)})
-		if err != nil {
-			return fmt.Errorf("systems[%d] (%s): %w", i, sys.Name, err)
-		}
-		results[i] = spec.Encode(sys.Name, a)
-		results[i].Meta = s.meta(forwarded, degraded, rs.Source())
-		if anyLowerBound(a) {
-			results[i].Meta.Anytime = true
-			s.metrics.anytimePartial.Inc()
-		}
-		if s.cfg.CompatV1Degraded && degraded {
-			results[i].Degraded = true
-		}
-		return nil
-	})
-}
-
 // forwardSubBatch re-marshals the systems at idx into one BatchRequest,
 // forwards it to the owning peer, and scatters the peer's results back
 // into their request-order slots. The peer sees the forwarded-from
@@ -1118,20 +1084,10 @@ func (s *Server) forwardSubBatch(ctx context.Context, r *http.Request, owner str
 	if err != nil {
 		return fmt.Errorf("marshaling sub-batch for peer %q: %w", owner, err)
 	}
-	sp := obs.StartSpan(r.Context(), "forward")
-	sp.Set("peer", owner)
-	sp.SetInt("systems", len(idx))
-	tr := obs.TraceFrom(r.Context())
-	resp, err := s.router.Forward(ctx, owner, "/v1/batch", body, s.forwardHeader(r, tr, sp))
-	if resp != nil {
-		sp.SetInt("attempts", resp.Attempts)
-	}
-	sp.Set("breaker", s.router.PeerStats(owner).Breaker.State)
-	sp.End(err)
+	resp, err := s.forward(ctx, r, owner, "/v1/batch", body, len(idx))
 	if err != nil {
 		return err
 	}
-	s.stitchRemoteSpans(tr, sp, resp)
 	if resp.Status != http.StatusOK {
 		return fmt.Errorf("peer %q answered sub-batch with status %d", owner, resp.Status)
 	}
@@ -1167,21 +1123,12 @@ func (s *Server) allowEndpoint(b *faults.Breaker, r *http.Request) bool {
 // nor as a success — it only returns the probe slot it may have been
 // holding while half-open.
 func (s *Server) breakerReport(b *faults.Breaker, err error) {
-	if b == nil {
-		return
-	}
-	if err != nil && !degradable(err) {
+	switch {
+	case b == nil:
+	case err != nil && !degradable(err):
 		b.CancelProbe()
-		return
-	}
-	b.Report(err != nil)
-}
-
-// breakerCancel returns a probe slot reserved by breakerAllow when the
-// request never reached the engine; a nil breaker is a no-op.
-func (s *Server) breakerCancel(b *faults.Breaker) {
-	if b != nil {
-		b.CancelProbe()
+	default:
+		b.Report(err != nil)
 	}
 }
 
@@ -1190,107 +1137,121 @@ func (s *Server) breakerCancel(b *faults.Breaker) {
 // faults, deadline expiry — as opposed to a client mistake (validation,
 // unsupported norm) or the client going away.
 func degradable(err error) bool {
-	var ve *spec.ValidationError
-	switch {
-	case err == nil,
-		errors.As(err, &ve),
-		errors.Is(err, core.ErrNormUnsupported),
-		errors.Is(err, context.Canceled):
+	if err == nil {
+		return false
+	}
+	switch _, kind := classify(err); kind {
+	case "invalid_spec", "unsupported", "shutting_down":
 		return false
 	}
 	return true
 }
 
+// fallback is the degraded-fallback stage for an engine failure: with
+// degraded mode on, a degradable failure is answered from the radius
+// cache; anything else fails per the error contract.
+func (s *Server) fallback(w http.ResponseWriter, r *http.Request, q *request, err error) {
+	if !s.cfg.Degraded || !degradable(err) {
+		s.fail(q.endpoint, w, r, err)
+		return
+	}
+	cached := "complete cached answer"
+	if q.single {
+		cached = "cached answer"
+	}
+	s.answerDegraded(w, r, q, "degraded", "engine failed and no "+cached+" exists: "+err.Error())
+}
+
 // answerDegraded is the degraded-mode responder: with Config.Degraded
 // set it tries to assemble the full answer from the shared radius cache
 // — every feature of every submitted system must be memoised — and
-// serves it with meta.degraded set and a Warning header (plus the
-// deprecated top-level "degraded" marker when CompatV1Degraded is on).
-// The cached values are exactly what a healthy engine would recompute,
-// so a degraded 200 is byte-identical to the fault-free response modulo
-// the meta block. On a true cache miss (or with degraded mode off) it
-// sheds with 503 + Retry-After and the given error kind.
-func (s *Server) answerDegraded(endpoint string, w http.ResponseWriter, r *http.Request, systems []*spec.System, batchShape, forwarded bool, kind, reason string) {
-	tr := obs.TraceFrom(r.Context())
+// serves it with meta.degraded set and a Warning header. The cached
+// values are exactly what a healthy engine would recompute, so a
+// degraded 200 is byte-identical to the fault-free response modulo the
+// meta block. On a true cache miss (or with degraded mode off) it sheds
+// with 503 + Retry-After and the given error kind.
+func (s *Server) answerDegraded(w http.ResponseWriter, r *http.Request, q *request, kind, reason string) {
 	if s.cfg.Degraded {
 		sp := obs.StartSpan(r.Context(), "degraded_lookup")
-		results, ok := s.cachedResults(systems, forwarded)
+		results, ok := s.cachedResults(q)
 		sp.Set("served", strconv.FormatBool(ok))
 		sp.End(nil)
 		if ok {
 			s.metrics.degraded.Inc()
+			tr := obs.TraceFrom(r.Context())
 			tr.SetAttr("outcome", "degraded")
 			tr.SetAttr("degraded", "true")
 			obs.Logger(r.Context()).Warn("serving degraded from radius cache", "reason", kind)
 			w.Header().Set("Warning", `199 fepiad "degraded: served from radius cache"`)
-			s.serveHeaders(w, r, forwarded)
-			if batchShape {
-				writeJSON(w, http.StatusOK, spec.BatchResponse{Results: results,
-					Meta: s.meta(forwarded, true, spec.CacheHit)})
-			} else {
-				writeJSON(w, http.StatusOK, results[0])
-			}
+			s.writeResults(w, r, q, results, q.forwarded)
 			return
 		}
 	}
-	tr.SetAttr("outcome", kind)
-	s.metrics.errs[endpoint].Inc()
-	s.retryAfterHeader(w)
-	writeError(w, http.StatusServiceUnavailable, spec.ErrorJSON{Error: reason, Kind: kind})
+	s.shed(q.endpoint, w, r, kind, kind, reason)
 }
 
 // cachedResults assembles one degraded ResultJSON per system purely from
 // the radius cache, or reports ok=false when any feature misses.
-func (s *Server) cachedResults(systems []*spec.System, forwarded bool) ([]spec.ResultJSON, bool) {
-	results := make([]spec.ResultJSON, len(systems))
-	for i, sys := range systems {
-		a, ok := batch.AnalyzeCached(batch.Job{Features: sys.Features, Perturbation: sys.Perturbation},
-			batch.Options{Cache: s.cache, Core: sys.Options, ShareBoundaries: true})
+func (s *Server) cachedResults(q *request) ([]spec.ResultJSON, bool) {
+	results := make([]spec.ResultJSON, len(q.systems))
+	for i, sys := range q.systems {
+		a, ok := batch.AnalyzeCached(s.engineInput(sys))
 		if !ok {
 			return nil, false
 		}
 		results[i] = spec.Encode(sys.Name, a)
-		results[i].Meta = s.meta(forwarded, true, spec.CacheHit)
-		if s.cfg.CompatV1Degraded {
-			results[i].Degraded = true
-		}
+		results[i].Meta = s.meta(q.forwarded, true, spec.CacheHit)
 	}
 	return results, true
 }
 
-// fail maps an analysis error onto the HTTP error contract (see the
-// package comment) and writes the ErrorJSON envelope.
-func (s *Server) fail(endpoint string, w http.ResponseWriter, r *http.Request, err error) {
-	s.metrics.errs[endpoint].Inc()
-	status, kind, path := http.StatusInternalServerError, "internal", ""
+// classify maps an error onto the HTTP error contract (see the package
+// comment): the response status and the ErrorJSON kind. fail writes
+// both; a watch stream, committed to 200, reports the kind in-band.
+func classify(err error) (status int, kind string) {
 	var ve *spec.ValidationError
 	var se *core.SolveError
 	var pe *PeerError
 	switch {
 	case errors.As(err, &ve):
-		status, kind, path = http.StatusBadRequest, "invalid_spec", ve.Path
+		return http.StatusBadRequest, "invalid_spec"
 	case errors.Is(err, core.ErrNormUnsupported):
-		status, kind = http.StatusBadRequest, "unsupported"
+		return http.StatusBadRequest, "unsupported"
 	case errors.Is(err, context.DeadlineExceeded):
-		status, kind = http.StatusGatewayTimeout, "timeout"
+		return http.StatusGatewayTimeout, "timeout"
 	case errors.Is(err, context.Canceled):
 		// The client went away or the server is force-draining; the
 		// status is mostly for the access log.
-		status, kind = http.StatusServiceUnavailable, "shutting_down"
+		return http.StatusServiceUnavailable, "shutting_down"
 	case errors.As(err, &se):
-		status, kind = http.StatusInternalServerError, "solver_failure"
+		return http.StatusInternalServerError, "solver_failure"
 	case errors.As(err, &pe):
 		// A ring owner could not be reached and degraded serving is off.
 		if errors.Is(err, cluster.ErrPeerOpen) {
-			status, kind = http.StatusServiceUnavailable, "peer_circuit_open"
-			s.retryAfterHeader(w)
-		} else {
-			status, kind = http.StatusBadGateway, "peer_unreachable"
+			return http.StatusServiceUnavailable, "peer_circuit_open"
 		}
+		return http.StatusBadGateway, "peer_unreachable"
+	}
+	return http.StatusInternalServerError, "internal"
+}
+
+// fail writes the ErrorJSON envelope classify picks for err, with the
+// offending field path of a validation error and Retry-After when a
+// peer's breaker is open.
+func (s *Server) fail(endpoint string, w http.ResponseWriter, r *http.Request, err error) {
+	s.metrics.errs[endpoint].Inc()
+	status, kind := classify(err)
+	e := spec.ErrorJSON{Error: err.Error(), Kind: kind}
+	var ve *spec.ValidationError
+	if errors.As(err, &ve) {
+		e.Path = ve.Path
+	}
+	if kind == "peer_circuit_open" {
+		s.retryAfterHeader(w)
 	}
 	obs.TraceFrom(r.Context()).SetAttr("outcome", kind)
 	if status >= http.StatusInternalServerError {
-		obs.Logger(r.Context()).Error("analysis failed", "kind", kind, "error", err.Error())
+		obs.Logger(r.Context()).Error("analysis failed", "kind", kind, "error", e.Error)
 	}
-	writeError(w, status, spec.ErrorJSON{Error: err.Error(), Kind: kind, Path: path})
+	writeError(w, status, e)
 }

@@ -1,14 +1,10 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"net/http"
 	"strconv"
 
 	"fepia/internal/batch"
-	"fepia/internal/core"
-	"fepia/internal/faults"
 	"fepia/internal/obs"
 	"fepia/internal/spec"
 )
@@ -36,6 +32,10 @@ const maxWatchPoints = 4096
 // failure window could meaningfully sample. The admission gate still
 // applies — a session occupies one in-flight slot until it finishes.
 //
+// Of the analyze/batch pipeline (see request) a session shares the parse
+// and admit stages; each step runs under requestContext, its frame's
+// meta comes from stamp, and a mid-stream error's kind from classify.
+//
 // Failure discipline: errors before the first frame map onto the normal
 // HTTP error contract (400/503/...). Once streaming has begun the status
 // line is committed, so a mid-stream failure — deadline expiry on one
@@ -44,37 +44,27 @@ const maxWatchPoints = 4096
 // fields, with steps counting the frames already delivered (all of which
 // remain trustworthy).
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	psp := obs.StartSpan(r.Context(), "parse")
-	body, ok := s.readBody(epWatch, w, r)
-	if !ok {
-		psp.End(errors.New("body rejected"))
-		return
-	}
-	req, err := spec.DecodeWatchRequest(*body)
-	putBuf(body)
+	var req spec.WatchRequest
 	var sys *spec.System
-	if err == nil {
-		sys, err = spec.Build(req.System)
-	}
-	if err == nil {
-		err = validateTrajectory(req.Points, len(sys.Perturbation.Orig))
-	}
-	psp.End(err)
-	if err != nil {
-		s.fail(epWatch, w, r, err)
+	_, ok := s.parse(epWatch, w, r, false, func(b []byte) (err error) {
+		if req, err = spec.DecodeWatchRequest(b); err != nil {
+			return err
+		}
+		if sys, err = spec.Build(req.System); err != nil {
+			return err
+		}
+		return validateTrajectory(req.Points, len(sys.Perturbation.Orig))
+	})
+	if !ok {
 		return
 	}
-
 	release, ok := s.admit(epWatch, w, r)
 	if !ok {
 		return
 	}
 	defer release()
 
-	watcher, err := batch.NewWatcher(
-		batch.Job{Features: sys.Features, Perturbation: sys.Perturbation},
-		batch.Options{Cache: s.cache, Core: sys.Options, Retry: s.retry, ShareBoundaries: true,
-			Kernel: s.cfg.Kernel, Anytime: s.anytime(sys)})
+	watcher, err := batch.NewWatcher(s.engineInput(sys))
 	if err != nil {
 		s.fail(epWatch, w, r, err)
 		return
@@ -100,15 +90,13 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	totalChanged := 0
 	for i, pt := range req.Points {
 		sp := obs.StartSpan(r.Context(), "watch_step").SetInt("step", i+1)
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-		ctx = faults.With(ctx, s.cfg.Injector)
+		ctx, cancel := s.requestContext(r.Context())
 		rs := &batch.RequestStats{}
-		ctx = batch.WithRequestStats(ctx, rs)
-		res, err := watcher.Step(ctx, pt)
+		res, err := watcher.Step(batch.WithRequestStats(ctx, rs), pt)
 		cancel()
 		if err != nil {
 			sp.End(err)
-			kind := errorKind(err)
+			_, kind := classify(err)
 			obs.TraceFrom(r.Context()).SetAttr("outcome", kind)
 			obs.Logger(r.Context()).Warn("watch session aborted mid-stream",
 				"step", i+1, "kind", kind, "error", err.Error())
@@ -126,12 +114,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		totalChanged += len(res.Changed)
 
 		frame := spec.EncodeWatchFrame(res.Step, pt, res.Analysis, res.Changed)
-		frame.Meta = s.meta(false, false, rs.Source())
-		if anyLowerBound(res.Analysis) {
-			frame.Meta.Anytime = true
-			s.metrics.anytimePartial.Inc()
-			obs.TraceFrom(r.Context()).SetAttr("anytime", "partial")
-		}
+		frame.Meta = s.stamp(r.Context(), res.Analysis, false, false, rs.Source())
 		if err := emit(frame); err != nil {
 			// The client went away (or the frame holds a non-finite
 			// float); nothing left to tell it.
@@ -164,27 +147,6 @@ func validateTrajectory(points [][]float64, dim int) error {
 		}
 	}
 	return nil
-}
-
-// errorKind maps a step failure onto the error-kind vocabulary of the
-// HTTP error contract, for in-band reporting after the status line has
-// been committed (fail cannot run mid-stream).
-func errorKind(err error) string {
-	var ve *spec.ValidationError
-	var se *core.SolveError
-	switch {
-	case errors.As(err, &ve):
-		return "invalid_spec"
-	case errors.Is(err, core.ErrNormUnsupported):
-		return "unsupported"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "timeout"
-	case errors.Is(err, context.Canceled):
-		return "shutting_down"
-	case errors.As(err, &se):
-		return "solver_failure"
-	}
-	return "internal"
 }
 
 // flush pushes buffered frames to the client immediately; a nil flusher

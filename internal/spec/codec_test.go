@@ -47,6 +47,18 @@ func requireSameBytes(t *testing.T, v any) {
 	}
 }
 
+// degradedMeta is m as a degraded answer carries it: the marker set and
+// the radii from the cache. The meta block is a degraded result's only
+// "degraded" key.
+func degradedMeta(m *ResponseMeta) *ResponseMeta {
+	var d ResponseMeta
+	if m != nil {
+		d = *m
+	}
+	d.Degraded, d.Cache = true, CacheHit
+	return &d
+}
+
 func TestAppendJSONMatchesEncoder(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	floats := []float64{1e-7, 1e-6, 1e20, 1e21, -1e-7, -1e21, 9.999999999999999e20, 0.000001234,
@@ -78,7 +90,7 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 			}
 			cases["result-"+tag] = ResultJSON{Name: "n", Perturbation: "λ", Units: "s", Robustness: 2,
 				Critical: "phi0", Radii: radii, Meta: meta}
-			cases["degraded-"+tag] = ResultJSON{Perturbation: "π", Radii: radii, Degraded: true, Meta: meta}
+			cases["degraded-"+tag] = ResultJSON{Perturbation: "π", Radii: radii, Meta: degradedMeta(meta)}
 			cases["frame-"+tag] = WatchFrame{Step: 7, Orig: []float64{1, 2.5}, Robustness: -1,
 				Critical: "c", Changed: radii, ChangedCount: len(radii), Meta: meta}
 			cases["frame-nil-orig-"+tag] = WatchFrame{Changed: radii, Meta: meta}
@@ -130,8 +142,7 @@ func FuzzAppendResult(f *testing.F) {
 	f.Add("", "", "", 1e21, 5e-324, -1.0, uint8(0), uint8(0), "")
 	f.Add("<&>\u2028", "\xff", "\x00", 1e20, 1e-6, 123.456, uint8(1), uint8(0x0f), "\ufffd")
 	f.Fuzz(func(t *testing.T, name, pert, units string, rob, radius, x float64, nRadii, flags uint8, node string) {
-		r := ResultJSON{Name: name, Perturbation: pert, Units: units, Robustness: rob, Critical: node,
-			Degraded: flags&0x10 != 0}
+		r := ResultJSON{Name: name, Perturbation: pert, Units: units, Robustness: rob, Critical: node}
 		if flags&0x01 != 0 {
 			r.Meta = &ResponseMeta{Node: node, Forwarded: flags&0x02 != 0, Degraded: flags&0x04 != 0,
 				Cache: units, Anytime: flags&0x08 != 0}

@@ -132,10 +132,6 @@ func (e *encoder) result(r *ResultJSON) {
 	}
 	e.key(&n, "radii")
 	e.radii(r.Radii)
-	if r.Degraded {
-		e.key(&n, "degraded")
-		e.bool(true)
-	}
 	if r.Meta != nil {
 		e.key(&n, "meta")
 		e.meta(r.Meta)

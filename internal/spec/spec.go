@@ -316,14 +316,6 @@ type ResultJSON struct {
 	Robustness   float64      `json:"robustness"`
 	Critical     string       `json:"critical_feature,omitempty"`
 	Radii        []RadiusJSON `json:"radii"`
-	// Degraded marks an analysis served from the fepiad radius cache
-	// while the engine was unavailable (circuit open or a solve failure).
-	//
-	// Deprecated: the top-level marker is superseded by Meta.Degraded and
-	// is only emitted by fepiad behind the -compat-v1-degraded flag (one
-	// release of grace; see docs/SERVICE.md). Library callers and the CLIs
-	// never set it.
-	Degraded bool `json:"degraded,omitempty"`
 	// Meta is the fepiad serving envelope: which node answered, whether
 	// the request was forwarded across the cluster ring, whether the
 	// answer was served degraded, and where the radii came from (cache
