@@ -795,12 +795,11 @@ func (c *baselineCache) radius(f core.Feature, p core.Perturbation, opts core.Op
 	if !ok {
 		return core.ComputeRadius(f, p, opts)
 	}
-	// The old hot path consulted the trace and fault contexts on every
-	// lookup; keep those no-op calls so the baseline is not penalised
-	// for work the live path also does.
-	gsp := obs.StartSpan(ctx, "cache_get")
+	// The live path consults the fault context on every lookup and the
+	// trace only on a fault branch; keep those calls so the baseline is
+	// not penalised for work the live path also does.
 	if err := faults.Inject(ctx, faults.CacheGet); err != nil {
-		gsp.End(err)
+		obs.StartSpan(ctx, "cache_get").End(err)
 		return core.RadiusResult{}, err
 	}
 	c.mu.Lock()
@@ -809,23 +808,18 @@ func (c *baselineCache) radius(f core.Feature, p core.Perturbation, opts core.Op
 		c.hits++
 		res := el.Value.(*baselineEntry).result
 		c.mu.Unlock()
-		gsp.Set("hit", "true")
-		gsp.End(nil)
 		res.Boundary = vecmath.Clone(res.Boundary)
 		res.Feature = f.Name
 		return res, nil
 	}
 	c.mu.Unlock()
-	gsp.Set("hit", "false")
-	gsp.End(nil)
 
 	res, err := core.ComputeRadius(f, p, opts)
 	if err != nil {
 		return core.RadiusResult{}, err
 	}
-	psp := obs.StartSpan(ctx, "cache_put")
 	if err := faults.Inject(ctx, faults.CachePut); err != nil {
-		psp.End(err)
+		obs.StartSpan(ctx, "cache_put").End(err)
 		return res, nil
 	}
 	c.mu.Lock()
@@ -841,7 +835,6 @@ func (c *baselineCache) radius(f core.Feature, p core.Perturbation, opts core.Op
 	c.misses++
 	stored := res
 	stored.Boundary = vecmath.Clone(stored.Boundary)
-	psp.End(nil)
 	return stored, nil
 }
 

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"fepia/internal/core"
 	"fepia/internal/faults"
@@ -50,12 +52,14 @@ type Options struct {
 	// mismatched norms, invalid inputs) keep the exact per-feature path,
 	// as does the whole job on a fault-injected request, so chaos
 	// injection points never silently disappear. Traced requests use the
-	// kernel and record one "kernel" span for the sweep in place of
-	// per-feature solve spans. Kernel-routed features flow through the
-	// radius cache in both directions: memoised radii are served from
-	// warm hits without sweeping, and every swept radius populates the
-	// cache — so degraded serving and cluster cache-affinity cover the
-	// kernel path too (see docs/PERFORMANCE.md for the routing rules).
+	// kernel and record one "kernel" span for the sweep; a "solve" stage
+	// span covers only the features the kernel handed back, and none
+	// starts when the kernel took them all. Kernel-routed features flow
+	// through the radius cache in both directions: memoised radii are
+	// served from warm hits without sweeping, and every swept radius
+	// populates the cache — so degraded serving and cluster
+	// cache-affinity cover the kernel path too (see docs/PERFORMANCE.md
+	// for the routing rules).
 	Kernel bool
 	// Anytime turns a mid-solve deadline expiry into a certified partial
 	// answer instead of an aborted analysis: per-feature solves run
@@ -231,6 +235,12 @@ func AnalyzeOneContext(ctx context.Context, job Job, opts Options) (core.Analysi
 	// below then only visits what the kernel could not take (solved is
 	// nil when the kernel is off or nothing was eligible).
 	solved := kernelSolve(ctx, job, copts, opts, radii)
+	if solved != nil && !slices.Contains(solved, false) {
+		// The kernel took every feature; its span is the system's record.
+		return core.NewAnalysis(job.Perturbation, radii), nil
+	}
+	var st solveStage
+	ctx = st.open(ctx)
 	for i, f := range job.Features {
 		if solved != nil && solved[i] {
 			continue
@@ -239,40 +249,121 @@ func AnalyzeOneContext(ctx context.Context, job Job, opts Options) (core.Analysi
 			// In anytime mode a passed deadline is not fatal: the solve
 			// below returns a certified partial bound for this feature.
 			if !opts.Anytime || !errors.Is(err, context.DeadlineExceeded) {
+				st.end(err)
 				return core.Analysis{}, err
 			}
 		}
-		r, err := solveFeature(ctx, i, f, job.Perturbation, copts, opts)
-		if err != nil {
+		if err := st.solve(ctx, i, f, job.Perturbation, copts, opts, &radii[i]); err != nil {
+			st.end(err)
 			return core.Analysis{}, err
 		}
-		radii[i] = r
 	}
+	st.end(nil)
 	return core.NewAnalysis(job.Perturbation, radii), nil
+}
+
+// solveStage traces one system's per-feature loop at stage granularity:
+// one "solve" span for the whole loop, carrying the feature, cache and
+// retry counts and the slowest feature, instead of spans per feature. A
+// feature gets its own "solve_feature" span only when it retried, failed
+// (a recovered panic included) or returned an anytime partial, so a
+// fault-free trace pays for its stages, not its features. On an
+// untraced context — or a trace already at its span cap — the stage is
+// inert and reads no clock.
+//
+// The zero value is ready for open; it lives on the caller's stack.
+type solveStage struct {
+	tr *obs.Trace
+	sp *obs.Span
+	rs *RequestStats
+	// Collector readings when the stage opened: the span reports what the
+	// loop added, not what an earlier kernel sweep counted.
+	hits, misses, coalesced uint64
+	features, retries       int
+	slowest                 string
+	slowestNS               int64
+}
+
+// open starts the stage span on a traced ctx and returns the context the
+// features must be solved under. The span's cache counts are read from
+// the request's RequestStats; a traced caller that attached none gets a
+// stage-local collector.
+func (st *solveStage) open(ctx context.Context) context.Context {
+	st.tr = obs.TraceFrom(ctx)
+	st.sp = st.tr.StartSpan("solve")
+	if st.sp == nil {
+		return ctx
+	}
+	if st.rs = requestStats(ctx); st.rs == nil {
+		st.rs = &RequestStats{}
+		ctx = WithRequestStats(ctx, st.rs)
+	}
+	st.hits, st.misses, st.coalesced = st.rs.Hits.Load(), st.rs.Misses.Load(), st.rs.Coalesced.Load()
+	return ctx
+}
+
+// solve runs one feature through solveFeature into *out and, on a live
+// stage, folds it into the stage's counts and commits its solve_feature
+// span when the feature is worth one.
+func (st *solveStage) solve(ctx context.Context, idx int, f core.Feature, p core.Perturbation, copts core.Options, opts Options, out *core.RadiusResult) error {
+	if st.sp == nil {
+		_, err := solveFeature(ctx, f, p, copts, opts, out)
+		return err
+	}
+	start := st.tr.Clock()
+	retries, err := solveFeature(ctx, f, p, copts, opts, out)
+	d := st.tr.Clock() - start
+	st.features++
+	st.retries += retries
+	if st.features == 1 || d > st.slowestNS {
+		st.slowest, st.slowestNS = f.Name, d
+	}
+	partial := err == nil && out.Kind == core.LowerBound
+	if retries > 0 || err != nil || partial {
+		fs := st.tr.StartSpanAt("solve_feature", start).Set("feature", f.Name).SetInt("feature_index", idx)
+		fs.AddRetries(retries)
+		if partial {
+			fs.Set("anytime", "partial")
+		}
+		fs.End(err)
+	}
+	return err
+}
+
+// end records the stage span with its counts; err is the loop's verdict.
+func (st *solveStage) end(err error) {
+	if st.sp == nil {
+		return
+	}
+	st.sp.SetInt("features", st.features).
+		SetInt("hits", int(st.rs.Hits.Load()-st.hits)).
+		SetInt("misses", int(st.rs.Misses.Load()-st.misses)).
+		SetInt("coalesced", int(st.rs.Coalesced.Load()-st.coalesced)).
+		SetInt("retries", st.retries)
+	if st.features > 0 {
+		st.sp.Set("slowest", st.slowest).SetInt("slowest_us", int(st.slowestNS/int64(time.Microsecond)))
+	}
+	st.sp.End(err)
 }
 
 // solveFeature computes one radius through the cached path under the
 // retry policy, converting a panicking attempt (an Impact.Eval crash, or
 // an injected panic fault) into a typed *core.SolveError so the rest of
-// the batch is never lost to a single bad item. On a traced request it
-// records a per-feature solve span carrying the retry attempts the
-// policy spent; on an untraced one the instrumentation is a no-op.
-func solveFeature(ctx context.Context, idx int, f core.Feature, p core.Perturbation, copts core.Options, opts Options) (core.RadiusResult, error) {
-	tr := obs.TraceFrom(ctx)
-	sp := tr.StartSpan("solve").Set("feature", f.Name).SetInt("feature_index", idx)
-	if tr != nil {
-		// Traced requests also label their profile samples per feature,
-		// so a CPU profile of a slow request names the feature that burned
-		// the time — features past the trace's span cap included, since
-		// the label follows the request, not the kept span. Untraced
-		// requests skip the label copy.
-		defer pprof.SetGoroutineLabels(ctx)
-		pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("feature", f.Name)))
-	}
-	var r core.RadiusResult
+// the batch is never lost to a single bad item. The radius is written
+// to *out, which holds no meaningful value on error; the result is the
+// retry attempts the policy spent. Tracing is its caller's (solveStage).
+func solveFeature(ctx context.Context, f core.Feature, p core.Perturbation, copts core.Options, opts Options, out *core.RadiusResult) (int, error) {
 	attempts := 0
 	attempt := func() (err error) {
 		attempts++
+		if attempts > 1 {
+			// A retried attempt labels its profile samples with the
+			// feature, so a CPU profile of a flaky request names the
+			// feature the policy is re-solving. First attempts — nearly
+			// every solve — skip the label copy.
+			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("feature", f.Name)))
+			defer pprof.SetGoroutineLabels(ctx)
+		}
 		defer func() {
 			if rec := recover(); rec != nil {
 				err = core.RecoveredSolveError(f.Name, rec)
@@ -282,26 +373,18 @@ func solveFeature(ctx context.Context, idx int, f core.Feature, p core.Perturbat
 			return err
 		}
 		if opts.Anytime {
-			r, err = anytimeRadius(ctx, f, p, copts, opts)
+			*out, err = anytimeRadius(ctx, f, p, copts, opts)
 			return err
 		}
 		if opts.ShareBoundaries {
-			r, err = opts.Cache.RadiusContextShared(ctx, f, p, copts)
+			*out, err = opts.Cache.RadiusContextShared(ctx, f, p, copts)
 		} else {
-			r, err = opts.Cache.RadiusContext(ctx, f, p, copts)
+			*out, err = opts.Cache.RadiusContext(ctx, f, p, copts)
 		}
 		return err
 	}
 	err := opts.Retry.Do(ctx, attempt)
-	sp.AddRetries(attempts - 1)
-	if err == nil && r.Kind == core.LowerBound {
-		sp.Set("anytime", "partial")
-	}
-	sp.End(err)
-	if err != nil {
-		return core.RadiusResult{}, err
-	}
-	return r, nil
+	return attempts - 1, err
 }
 
 // anytimeRadius is the anytime-mode cache discipline: a counting warm

@@ -335,10 +335,12 @@ func (c *Cache) radius(ctx context.Context, f core.Feature, p core.Perturbation,
 		keyPool.Put(kb)
 		return core.ComputeRadius(f, p, opts)
 	}
-	gsp := obs.StartSpan(ctx, "cache_get")
+	// Traces record cache traffic only on a fault branch — a failed get
+	// or a dropped put; hits and misses are counted on the request's
+	// RequestStats and surface on the system's solve stage span.
 	if err := faults.Inject(ctx, faults.CacheGet); err != nil {
 		keyPool.Put(kb)
-		gsp.End(err)
+		obs.StartSpan(ctx, "cache_get").End(err)
 		return core.RadiusResult{}, err
 	}
 
@@ -354,8 +356,6 @@ func (c *Cache) radius(ctx context.Context, f core.Feature, p core.Perturbation,
 		if rs != nil {
 			rs.Hits.Add(1)
 		}
-		gsp.Set("hit", "true")
-		gsp.End(nil)
 		if clone {
 			res.Boundary = vecmath.Clone(res.Boundary)
 		}
@@ -381,18 +381,19 @@ func (c *Cache) radius(ctx context.Context, f core.Feature, p core.Perturbation,
 		if rs != nil {
 			rs.Coalesced.Add(1)
 		}
-		gsp.Set("hit", "false").Set("coalesced", "true")
+		tr := obs.TraceFrom(ctx)
+		parked := tr.Clock()
+		var err error
 		select {
 		case <-ctx.Done():
-			gsp.End(ctx.Err())
-			return core.RadiusResult{}, ctx.Err()
+			err = ctx.Err()
 		case <-done:
+			err = fl.err
 		}
-		if fl.err != nil {
-			gsp.End(fl.err)
-			return core.RadiusResult{}, fl.err
+		if err != nil {
+			tr.StartSpanAt("cache_get", parked).Set("coalesced", "true").End(err)
+			return core.RadiusResult{}, err
 		}
-		gsp.End(nil)
 		res := fl.res
 		if clone {
 			res.Boundary = vecmath.Clone(res.Boundary)
@@ -411,8 +412,6 @@ func (c *Cache) radius(ctx context.Context, f core.Feature, p core.Perturbation,
 	if rs != nil {
 		rs.Misses.Add(1)
 	}
-	gsp.Set("hit", "false")
-	gsp.End(nil)
 	return c.lead(ctx, s, key, fl, f, p, opts, clone)
 }
 
@@ -477,17 +476,14 @@ func (c *Cache) lead(ctx context.Context, s *cacheShard, key string, fl *flight,
 		return core.RadiusResult{}, err
 	}
 
-	psp := obs.StartSpan(ctx, "cache_put")
 	if ferr := faults.Inject(ctx, faults.CachePut); ferr != nil {
 		// A put fault costs only the memoisation — the result still
 		// reaches this caller and every parked waiter.
 		c.putFails.Add(1)
-		psp.Set("dropped", "true")
-		psp.End(ferr)
+		obs.StartSpan(ctx, "cache_put").Set("dropped", "true").End(ferr)
 		publish(res, nil, false)
 	} else {
 		publish(res, nil, true)
-		psp.End(nil)
 	}
 
 	out := res

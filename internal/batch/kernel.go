@@ -36,9 +36,10 @@ import (
 // Traced requests DO use the kernel (fepiad traces every request into
 // the /debug/traces ring, so falling back on trace presence would
 // disable the kernel for the whole serving surface); the sweep records
-// one "kernel" span carrying the hit/solved/fallback counts, and only
-// the features re-routed to the per-feature path get individual solve
-// spans.
+// one "kernel" span carrying the hit/solved/fallback counts. The features
+// re-routed to the per-feature path are covered by the caller's one
+// "solve" stage span, and when the kernel took every feature no solve
+// span starts at all.
 //
 // Cache integration: kernel-swept results are bit-identical to
 // core.ComputeRadius, so they flow through the shared radius cache in

@@ -13,9 +13,10 @@ import (
 // context — library callers and cmd/bench — where StartSpan finds no
 // trace and every span call no-ops; it must stay within a few percent of
 // the pre-instrumentation engine. fepiad traces every request, so its
-// steady state is "traced": the full per-feature span set, sealed into a
-// trace ring the way the server's instrument middleware does, without
-// rendering (the ring renders only when /debug/traces is read).
+// steady state is "traced": the system's solve stage span with its
+// per-feature clock reads, sealed into a trace ring the way the server's
+// instrument middleware does, without rendering (the ring renders only
+// when /debug/traces is read).
 //
 // Pin (docs/OBSERVABILITY.md, min-of-10): "untraced" must stay within
 // +2% of the 4.20µs/op pre-instrumentation seed — 4.23µs/op ceiling —

@@ -169,19 +169,19 @@ func (w *Watcher) Step(ctx context.Context, next []float64) (StepResult, error) 
 	w.changed = w.changed[:0]
 
 	// scalarSolve runs one feature through the engine's per-feature
-	// discipline (cache, retry, panic isolation, faults, anytime) and
-	// records whether its answer moved.
-	scalarSolve := func(i int) error {
+	// discipline (cache, retry, panic isolation, faults, anytime) inside
+	// the step's solve stage and records whether its answer moved.
+	var st solveStage
+	scalarSolve := func(ctx context.Context, i int) error {
 		if err := ctx.Err(); err != nil {
 			if !w.opts.Anytime || !errors.Is(err, context.DeadlineExceeded) {
 				return err
 			}
 		}
-		r, err := solveFeature(ctx, i, w.job.Features[i], stepPert, w.copts, w.opts)
-		if err != nil {
+		r := &w.radii[i]
+		if err := st.solve(ctx, i, w.job.Features[i], stepPert, w.copts, w.opts, r); err != nil {
 			return err
 		}
-		w.radii[i] = r
 		bits := math.Float64bits(r.Radius)
 		if first || bits != w.prevBits[i] || r.Kind != w.prevKind[i] {
 			w.changed = append(w.changed, i)
@@ -238,31 +238,19 @@ func (w *Watcher) Step(ctx context.Context, next []float64) (StepResult, error) 
 	}
 
 	// Scalar features every step; kernel NaN-fallback features whenever
-	// they are in fallback at this point.
-	if kernelStep {
-		for _, i := range w.scalar {
-			if err := scalarSolve(i); err != nil {
-				return StepResult{}, err
-			}
+	// they are in fallback at this point. A step the kernel delta covered
+	// in full starts no solve stage: its kernel_delta span is the record.
+	if !kernelStep || len(w.scalar)+len(fallback) > 0 {
+		sctx := st.open(ctx)
+		err := w.solveScalar(sctx, kernelStep, fallback, scalarSolve)
+		st.end(err)
+		if err != nil {
+			return StepResult{}, err
 		}
-		for _, j := range fallback {
-			if err := scalarSolve(w.kidx[j]); err != nil {
-				return StepResult{}, err
-			}
-		}
-	} else {
-		for i := range w.job.Features {
-			if err := scalarSolve(i); err != nil {
-				return StepResult{}, err
-			}
-		}
-		// The delta session (if any) was bypassed: its point of record is
-		// now stale, so the next kernel step must resweep cold.
-		w.resync = w.pack != nil
 	}
-	if kernelStep {
-		w.resync = false
-	}
+	// A step that bypassed the delta session (if any) leaves its point of
+	// record stale, so the next kernel step must resweep cold.
+	w.resync = !kernelStep && w.pack != nil
 
 	copy(w.point, next)
 	w.started = true
@@ -274,6 +262,31 @@ func (w *Watcher) Step(ctx context.Context, next []float64) (StepResult, error) 
 		Changed:  w.changed,
 		Step:     w.steps,
 	}, nil
+}
+
+// solveScalar runs the step's per-feature solves: the scalar features
+// and the kernel's NaN fallbacks on a kernel step, every feature
+// otherwise.
+func (w *Watcher) solveScalar(ctx context.Context, kernelStep bool, fallback []int, solve func(context.Context, int) error) error {
+	if !kernelStep {
+		for i := range w.job.Features {
+			if err := solve(ctx, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, i := range w.scalar {
+		if err := solve(ctx, i); err != nil {
+			return err
+		}
+	}
+	for _, j := range fallback {
+		if err := solve(ctx, w.kidx[j]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sortInts is an insertion sort for the small changed-index buffer —

@@ -15,10 +15,11 @@ import (
 	"time"
 )
 
-// maxSpansPerTrace bounds one trace's span list so a pathological batch
-// (thousands of features) cannot balloon the ring. The cap applies when
-// a span starts: a trace keeps its first maxSpansPerTrace spans and
-// counts the rest in TraceData.SpansDropped.
+// maxSpansPerTrace bounds one trace's span list so a pathological request
+// (a batch of hundreds of systems, a long watch session, a fault storm
+// of retried features) cannot balloon the ring. The cap applies when a
+// span is opened (StartSpan, StartSpanAt): a trace keeps its first
+// maxSpansPerTrace spans and counts the rest in TraceData.SpansDropped.
 const maxSpansPerTrace = 512
 
 // NewID returns a 16-hex-char request ID. It never fails: if the system
@@ -140,8 +141,8 @@ type TraceData struct {
 //
 // Spans are stored compactly: one fixed-layout record per finished span
 // and its attributes in a per-trace arena, with no map and no hex ID
-// until the trace is read. The span cap is enforced when a span starts,
-// so a span past it costs nothing.
+// until the trace is read. The span cap is enforced when a span is
+// opened, so a span past it costs nothing.
 type Trace struct {
 	id       string
 	endpoint string
@@ -461,10 +462,10 @@ type Span struct {
 	inline  [2]spanAttr
 }
 
-// StartSpan opens a span named after a pipeline stage (parse, admit,
-// breaker, cache_get, solve, encode, …) on the context's trace; it
-// returns nil — a no-op span — when the context is untraced or the
-// trace is full.
+// StartSpan opens a span named after a pipeline stage (parse, breaker,
+// admit, solve, kernel, encode, …) on the context's trace; it returns
+// nil — a no-op span — when the context is untraced or the trace is
+// full.
 func StartSpan(ctx context.Context, name string) *Span {
 	return TraceFrom(ctx).StartSpan(name)
 }
@@ -477,11 +478,33 @@ func (t *Trace) StartSpan(name string) *Span {
 	if t == nil {
 		return nil
 	}
+	return t.StartSpanAt(name, t.Clock())
+}
+
+// Clock reads the trace's monotonic clock: nanoseconds since the trace
+// started, or 0 on a nil trace. A reading taken before some work is the
+// startNS of a span StartSpanAt records only once the work turns out to
+// be worth a span.
+func (t *Trace) Clock() int64 {
+	if t == nil {
+		return 0
+	}
+	return int64(time.Since(t.start))
+}
+
+// StartSpanAt opens a span on t whose start is an earlier Clock reading,
+// so a span decided on after the fact (a retried or failed feature)
+// keeps its true start offset and duration. The span cap is counted
+// here, when the span is committed, exactly as StartSpan counts it.
+func (t *Trace) StartSpanAt(name string, startNS int64) *Span {
+	if t == nil {
+		return nil
+	}
 	n := t.started.Add(1)
 	if n > maxSpansPerTrace {
 		return nil
 	}
-	s := &Span{trace: t, name: name, id: t.idBase + uint64(n), startNS: int64(time.Since(t.start))}
+	s := &Span{trace: t, name: name, id: t.idBase + uint64(n), startNS: startNS}
 	s.attrs = s.inline[:0]
 	return s
 }
@@ -535,8 +558,8 @@ func (s *Span) put(a spanAttr) {
 	s.attrs = append(s.attrs, a)
 }
 
-// AddRetries adds n to the span's retry-attempt count (per-feature solve
-// spans carry the retries the policy spent on them).
+// AddRetries adds n to the span's retry-attempt count (solve_feature
+// spans carry the retries the policy spent on their feature).
 func (s *Span) AddRetries(n int) {
 	if s != nil {
 		s.retries += n

@@ -172,6 +172,37 @@ func TestSpanAllocs(t *testing.T) {
 	}
 }
 
+// TestStartSpanAt: a span committed after the fact keeps the start
+// offset read from Clock before the work, and the span cap counts it
+// when it is committed, not when the clock was read.
+func TestStartSpanAt(t *testing.T) {
+	tr := NewTrace("req-at", "batch")
+	if (*Trace)(nil).Clock() != 0 || (*Trace)(nil).StartSpanAt("solve_feature", 5) != nil {
+		t.Fatal("nil trace: want a zero clock and a nil span")
+	}
+	start := tr.Clock()
+	time.Sleep(2 * time.Millisecond)
+	if tr.started.Load() != 0 {
+		t.Fatal("reading the clock counted a span")
+	}
+	tr.StartSpanAt("solve_feature", start).SetInt("feature_index", 3).End(nil)
+	for tr.started.Load() < maxSpansPerTrace {
+		tr.StartSpan("solve").End(nil)
+	}
+	late := tr.Clock()
+	if tr.StartSpanAt("solve_feature", late) != nil {
+		t.Fatal("a span committed past the cap was kept")
+	}
+	td := tr.Finish(200)
+	first := td.Spans[0]
+	if first.Name != "solve_feature" || first.StartUS != start/int64(time.Microsecond) || first.DurationUS < 2000 {
+		t.Fatalf("first span %+v, want solve_feature from %dus lasting ≥ 2000us", first, start/int64(time.Microsecond))
+	}
+	if len(td.Spans) != maxSpansPerTrace || td.SpansDropped != 1 {
+		t.Fatalf("spans %d dropped %d, want %d / 1", len(td.Spans), td.SpansDropped, maxSpansPerTrace)
+	}
+}
+
 // FuzzParseTraceHeader: every X-Fepiad-Trace value the parser accepts is
 // 33 bytes of lowercase hex around one dash at byte 16, and renders back
 // to itself through FormatTraceHeader.

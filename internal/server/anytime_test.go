@@ -129,9 +129,25 @@ func TestAnytimeBatchPartial(t *testing.T) {
 			t.Fatalf("linear system degraded to a bound: %+v", br.Results[1].Radii)
 		}
 	}
-	// The batch trace carries the anytime attribute, as analyze's does.
-	if tr := traces(t, ts.URL).Recent[0]; tr.Endpoint != epBatch || tr.Attrs["anytime"] != "partial" {
+	// The batch trace carries the anytime attribute, as analyze's does,
+	// and each partial radius its own solve_feature span.
+	tr := traces(t, ts.URL).Recent[0]
+	if tr.Endpoint != epBatch || tr.Attrs["anytime"] != "partial" {
 		t.Fatalf("batch trace %s attrs %v, want anytime=partial", tr.Endpoint, tr.Attrs)
+	}
+	lower, partialSpans := 0, 0
+	for _, r := range br.Results[0].Radii {
+		if r.Kind == "lower" {
+			lower++
+		}
+	}
+	for _, sp := range tr.Spans {
+		if sp.Name == "solve_feature" && sp.Attrs["anytime"] == "partial" {
+			partialSpans++
+		}
+	}
+	if lower == 0 || partialSpans != lower {
+		t.Fatalf("%d solve_feature spans marked partial, want one per lower bound (%d): %+v", partialSpans, lower, tr.Spans)
 	}
 }
 

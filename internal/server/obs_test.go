@@ -4,13 +4,15 @@ package server
 // exposition on /metrics, its agreement with the expvar document on
 // /debug/vars (both read the same obs.Registry instruments), the
 // per-endpoint latency split, and the per-stage request traces on
-// /debug/traces — including retry-attempt counts on solve spans when the
-// fault harness makes the engine stumble.
+// /debug/traces — one span per stage, with retry-attempt counts on
+// solve_feature spans when the fault harness makes the engine stumble.
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -199,8 +201,9 @@ func TestMetricsExpositionAgreesWithVars(t *testing.T) {
 }
 
 // TestTraceStages sends one traced request per endpoint and checks
-// /debug/traces records it under the caller's X-Request-Id with a span
-// for every pipeline stage.
+// /debug/traces records it under the caller's X-Request-Id with one span
+// per pipeline stage, the solve stage carrying the system's feature and
+// cache counts.
 func TestTraceStages(t *testing.T) {
 	ts := httptest.NewServer(New(quietConfig(Config{})).Handler())
 	defer ts.Close()
@@ -223,38 +226,34 @@ func TestTraceStages(t *testing.T) {
 		t.Errorf("X-Request-Id echoed as %q, want trace-e2e-1", got)
 	}
 
-	snap := traces(t, ts.URL)
-	var tr *obs.TraceData
-	for i := range snap.Recent {
-		if snap.Recent[i].ID == "trace-e2e-1" {
-			tr = &snap.Recent[i]
-			break
-		}
-	}
-	if tr == nil {
-		t.Fatalf("trace-e2e-1 not in /debug/traces (have %d recent)", len(snap.Recent))
-	}
+	tr := findTrace(t, traces(t, ts.URL), "trace-e2e-1")
 	if tr.Endpoint != "analyze" || tr.Status != http.StatusOK {
 		t.Errorf("trace endpoint/status = %s/%d, want analyze/200", tr.Endpoint, tr.Status)
 	}
-	stages := make(map[string]int)
-	for _, sp := range tr.Spans {
-		stages[sp.Name]++
-	}
-	// linearSpec has two features: two cache_get spans (both misses on a
-	// fresh server, so two cache_put spans) inside two solve spans.
+	stages := spanCounts(tr)
+	// linearSpec has two features, both misses on a fresh server: one
+	// solve stage span counts them; the cache records no span of its own.
 	for stage, n := range map[string]int{
-		"parse": 1, "breaker": 1, "admit": 1, "encode": 1,
-		"solve": 2, "cache_get": 2, "cache_put": 2,
+		"parse": 1, "breaker": 1, "admit": 1, "solve": 1, "encode": 1,
+		"solve_feature": 0, "cache_get": 0, "cache_put": 0,
 	} {
 		if stages[stage] != n {
 			t.Errorf("stage %q: %d spans, want %d (have %v)", stage, stages[stage], n, stages)
 		}
 	}
-	for _, sp := range tr.Spans {
-		if sp.Name == "solve" && sp.Retries != 0 {
-			t.Errorf("fault-free solve span carries %d retries", sp.Retries)
+	solve := spanByName(t, tr, "solve")
+	for key, want := range map[string]string{
+		"features": "2", "hits": "0", "misses": "2", "coalesced": "0", "retries": "0",
+	} {
+		if got := solve.Attrs[key]; got != want {
+			t.Errorf("solve span %s = %q, want %q (attrs %v)", key, got, want, solve.Attrs)
 		}
+	}
+	if name := solve.Attrs["slowest"]; name != "finish(m0)" && name != "finish(m1)" {
+		t.Errorf("solve span slowest = %q, want one of the system's features", name)
+	}
+	if _, err := strconv.Atoi(solve.Attrs["slowest_us"]); err != nil {
+		t.Errorf("solve span slowest_us = %q, want an integer", solve.Attrs["slowest_us"])
 	}
 
 	// A request without an X-Request-Id gets a generated one, also traced.
@@ -263,12 +262,57 @@ func TestTraceStages(t *testing.T) {
 		t.Error("no X-Request-Id generated for untagged request")
 	} else if got := traces(t, ts.URL); got.Recent[0].ID != rid {
 		t.Errorf("newest trace ID = %q, want generated %q", got.Recent[0].ID, rid)
+	} else if hits := spanByName(t, got.Recent[0], "solve").Attrs["hits"]; hits != "2" {
+		t.Errorf("warm repeat: solve span hits = %q, want 2", hits)
 	}
 }
 
-// TestTraceSolveRetries injects one transient solve fault per feature via
-// an exact script and checks the solve spans of the traced batch request
-// record the retry attempts the policy spent recovering.
+// spanCounts counts a trace's spans by name.
+func spanCounts(td obs.TraceData) map[string]int {
+	n := make(map[string]int)
+	for _, sp := range td.Spans {
+		n[sp.Name]++
+	}
+	return n
+}
+
+// TestTraceShapeIsPerStage pins the span shape to the pipeline's stages,
+// not to the system's features: a fault-free /v1/analyze records
+// exactly parse, breaker, admit, solve and encode — one span each —
+// whether the system has 8 features or 32.
+func TestTraceShapeIsPerStage(t *testing.T) {
+	ts := httptest.NewServer(New(quietConfig(Config{})).Handler())
+	defer ts.Close()
+	rng := rand.New(rand.NewSource(7))
+	for _, features := range []int{8, 32} {
+		id := fmt.Sprintf("shape-%d", features)
+		body := string(mustMarshal(t, linearShapeFile(rng, id, 8, features)))
+		resp, out := postWithHeaders(t, ts.URL+"/v1/analyze", body, map[string]string{"X-Request-Id": id})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", id, resp.StatusCode, out)
+		}
+		td := findTrace(t, traces(t, ts.URL), id)
+		var names []string
+		for _, sp := range td.Spans {
+			names = append(names, sp.Name)
+		}
+		if got, want := strings.Join(names, ","), "parse,breaker,admit,solve,encode"; got != want {
+			t.Errorf("%d features: spans %s, want %s", features, got, want)
+		}
+		if td.SpansDropped != 0 {
+			t.Errorf("%d features: %d spans dropped", features, td.SpansDropped)
+		}
+		if got := spanByName(t, td, "solve").Attrs["features"]; got != strconv.Itoa(features) {
+			t.Errorf("%d features: solve span features = %q", features, got)
+		}
+	}
+}
+
+// TestTraceSolveRetries injects transient solve faults via an exact
+// script and checks that the traced batch request records each retried
+// feature in its own solve_feature span with the attempts the policy
+// spent, and the total on its system's solve span. A feature that
+// exhausts the policy records the error on both.
 func TestTraceSolveRetries(t *testing.T) {
 	inj := faults.NewScript().
 		At(faults.Solve, 1, faults.KindError).
@@ -287,19 +331,127 @@ func TestTraceSolveRetries(t *testing.T) {
 	if len(snap.Recent) == 0 {
 		t.Fatal("no traces recorded")
 	}
-	var retried int
-	for _, sp := range snap.Recent[0].Spans {
-		if sp.Name == "solve" && sp.Retries > 0 {
-			retried++
+	td := snap.Recent[0]
+	// Faults fired on solve calls 1 and 3: with one worker both features
+	// retried exactly once, and both solve_feature spans must say so.
+	retried := map[string]int{}
+	for _, sp := range td.Spans {
+		if sp.Name == "solve_feature" {
+			retried[sp.Attrs["feature"]] = sp.Retries
+			if sp.Error != "" {
+				t.Errorf("recovered feature %s carries error %q", sp.Attrs["feature"], sp.Error)
+			}
 		}
 	}
-	// Faults fired on solve calls 1 and 3: with one worker both features
-	// retried exactly once, and both spans must say so.
-	if retried != 2 {
-		t.Errorf("%d solve spans carry retries, want 2 (spans: %+v)", retried, snap.Recent[0].Spans)
+	if len(retried) != 2 || retried["finish(m0)"] != 1 || retried["finish(m1)"] != 1 {
+		t.Errorf("solve_feature retries = %v, want finish(m0) and finish(m1) at 1 each (spans: %+v)", retried, td.Spans)
+	}
+	if got := spanByName(t, td, "solve").Attrs["retries"]; got != "2" {
+		t.Errorf("solve span retries = %q, want 2", got)
 	}
 	if m := scrape(t, ts.URL); m[`fepiad_retries_total`] != 2 {
 		t.Errorf("fepiad_retries_total = %v, want 2", m[`fepiad_retries_total`])
+	}
+
+	// Three straight faults exhaust the default three-attempt policy on
+	// the first feature: its span records two retries and the error, and
+	// the system's solve span fails with it.
+	inj = faults.NewScript().
+		At(faults.Solve, 1, faults.KindError).
+		At(faults.Solve, 2, faults.KindError).
+		At(faults.Solve, 3, faults.KindError)
+	ts2 := httptest.NewServer(New(quietConfig(Config{Injector: inj, Workers: 1})).Handler())
+	defer ts2.Close()
+	if resp, out := postJSON(t, ts2.URL+"/v1/batch", body); resp.StatusCode == http.StatusOK {
+		t.Fatalf("batch with an exhausted feature answered 200 (%s)", out)
+	}
+	td = traces(t, ts2.URL).Recent[0]
+	if n := spanCounts(td)["solve_feature"]; n != 1 {
+		t.Fatalf("%d solve_feature spans, want 1 (spans: %+v)", n, td.Spans)
+	}
+	failed := spanByName(t, td, "solve_feature")
+	if failed.Attrs["feature"] != "finish(m0)" || failed.Retries != 2 || failed.Error == "" {
+		t.Errorf("failed feature span = %+v, want finish(m0) with 2 retries and an error", failed)
+	}
+	if solve := spanByName(t, td, "solve"); solve.Error != failed.Error || solve.Attrs["retries"] != "2" {
+		t.Errorf("solve span error %q retries %q, want %q and 2", solve.Error, solve.Attrs["retries"], failed.Error)
+	}
+}
+
+// TestTraceSeededFaultsPerSystem drives a /v1/batch under a seeded
+// solve:error schedule with retries on. The trace holds one solve span
+// per system plus one solve_feature span per retried feature; the
+// retries they record add up to the faults the injector delivered, and
+// each system's solve span counts its own.
+func TestTraceSeededFaultsPerSystem(t *testing.T) {
+	const systems, features = 4, 8
+	// Two faults cannot exhaust a three-attempt policy, so every feature
+	// recovers and the batch answers 200.
+	inj := faults.NewSeeded(3, faults.Config{
+		Rates:     map[faults.Point]map[faults.Kind]float64{faults.Solve: {faults.KindError: 0.2}},
+		MaxFaults: 2,
+	})
+	ts := httptest.NewServer(New(quietConfig(Config{Injector: inj, Workers: 1})).Handler())
+	defer ts.Close()
+	rng := rand.New(rand.NewSource(11))
+	docs := make([]string, systems)
+	for i := range docs {
+		docs[i] = string(mustMarshal(t, linearShapeFile(rng, fmt.Sprintf("seeded-%d", i), 8, features)))
+	}
+	resp, out := postWithHeaders(t, ts.URL+"/v1/batch", `{"systems": [`+strings.Join(docs, ",")+`]}`,
+		map[string]string{"X-Request-Id": "seeded"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200 after retries (%s)", resp.StatusCode, out)
+	}
+	if inj.Delivered() != 2 {
+		t.Fatalf("injector delivered %d faults, want its budget of 2", inj.Delivered())
+	}
+
+	td := findTrace(t, traces(t, ts.URL), "seeded")
+	var solves, perFeature []obs.SpanData
+	for _, sp := range td.Spans {
+		switch sp.Name {
+		case "solve":
+			solves = append(solves, sp)
+		case "solve_feature":
+			perFeature = append(perFeature, sp)
+		case "cache_get", "cache_put":
+			t.Errorf("fault-free cache traffic recorded a %s span", sp.Name)
+		}
+	}
+	if len(solves) != systems {
+		t.Fatalf("%d solve spans, want one per system (%d)", len(solves), systems)
+	}
+	total := 0
+	for _, sp := range perFeature {
+		if sp.Retries < 1 || sp.Error != "" {
+			t.Errorf("solve_feature %+v: want ≥ 1 retry and no error", sp)
+		}
+		total += sp.Retries
+	}
+	if total != inj.Delivered() {
+		t.Errorf("solve_feature spans record %d retries, want the %d faults delivered", total, inj.Delivered())
+	}
+	// One worker solves the systems in turn, so a solve_feature span
+	// belongs to the last solve span started before it.
+	inside := make([]int, systems)
+	for _, sp := range perFeature {
+		k := 0
+		for k+1 < systems && solves[k+1].StartUS <= sp.StartUS {
+			k++
+		}
+		inside[k] += sp.Retries
+	}
+	for k, sys := range solves {
+		if sys.Attrs["features"] != strconv.Itoa(features) {
+			t.Errorf("solve span features = %q, want %d", sys.Attrs["features"], features)
+		}
+		if sys.Attrs["retries"] != strconv.Itoa(inside[k]) {
+			t.Errorf("solve span %d retries = %q, want the %d its solve_feature spans record", k, sys.Attrs["retries"], inside[k])
+		}
+	}
+	if m := scrape(t, ts.URL); m[`fepiad_retries_total`] != float64(total) {
+		t.Errorf("fepiad_retries_total = %v, want %d", m[`fepiad_retries_total`], total)
 	}
 }
 

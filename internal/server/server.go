@@ -19,11 +19,14 @@
 // expvar-compatible /debug/vars, so the two can never disagree. Every
 // /v1/ request carries a request ID (accepted from or emitted as
 // X-Request-Id), is logged as one structured slog line, and is traced
-// with per-stage spans — parse, breaker, admit, cache get/put,
-// per-feature solve (with retry-attempt counts), encode — retained in a
-// bounded ring served on /debug/traces (most recent plus slowest-ever).
-// /debug/pprof is available behind Config.EnablePprof, with endpoint and
-// per-feature profiler labels on the analysis goroutines.
+// with one span per pipeline stage — parse, breaker, admit, one solve
+// per system (carrying its feature, cache and retry counts), encode —
+// plus a solve_feature span only for a feature that retried, failed or
+// returned an anytime partial; traces are retained in a bounded ring
+// served on /debug/traces (most recent plus slowest-ever). /debug/pprof
+// is available behind Config.EnablePprof, with endpoint and worker
+// profiler labels on the analysis goroutines and a feature label on
+// retried solve attempts.
 //
 // Error discipline: client mistakes (spec.ValidationError) map to 400
 // with the offending JSON field path; unsupported analysis combinations
@@ -161,9 +164,10 @@ type Config struct {
 	// flow through the shared radius cache in both directions — warm
 	// entries are served without re-solving and fresh solves are
 	// memoised for Degraded serving and for the scalar path. Request
-	// traces show one "kernel" span in place of per-feature solve spans;
-	// fault-injected requests keep the per-feature path regardless. See
-	// docs/PERFORMANCE.md.
+	// traces show one "kernel" span per system for the sweep, and a
+	// "solve" stage span only when some feature kept the per-feature
+	// path; fault-injected requests keep the per-feature path regardless.
+	// See docs/PERFORMANCE.md.
 	Kernel bool
 	// SnapshotPath, when non-empty, persists the radius cache across
 	// restarts: loaded once at boot (corrupt or missing files boot
@@ -437,8 +441,9 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		reqLog := s.cfg.Log.With("request_id", rid, "endpoint", endpoint)
 		ctx := obs.WithTrace(r.Context(), tr)
 		ctx = obs.WithLogger(ctx, reqLog)
-		// Endpoint profiler labels: batch workers add their own worker and
-		// per-feature labels underneath (internal/batch).
+		// Endpoint profiler labels: batch workers add their own worker
+		// label underneath, and a retried solve attempt its feature
+		// (internal/batch).
 		ctx = rpprof.WithLabels(ctx, rpprof.Labels("endpoint", endpoint))
 		rpprof.SetGoroutineLabels(ctx)
 		defer rpprof.SetGoroutineLabels(r.Context())

@@ -42,10 +42,11 @@ func watchShapeRequest(rng *rand.Rand, sys spec.File, steps int) spec.WatchReque
 }
 
 // TestWatchTraceSpanCap runs watch sessions through the real server and
-// reads their traces back from /debug/traces. A short session keeps
-// every span, which pins the span count per step; a watch_linear
-// session starts three times the 512-span cap, and its trace shows the
-// 512 spans started first with the rest counted in spans_dropped.
+// reads their traces back from /debug/traces. A watch_linear session
+// keeps every span, which pins the span count per step to the stages
+// rather than the features; a session long enough to pass the 512-span
+// cap shows the 512 spans started first with the rest counted in
+// spans_dropped.
 func TestWatchTraceSpanCap(t *testing.T) {
 	ts := httptest.NewServer(New(quietConfig(Config{})).Handler())
 	defer ts.Close()
@@ -72,25 +73,34 @@ func TestWatchTraceSpanCap(t *testing.T) {
 		}
 		return findTrace(t, traces(t, ts.URL), id)
 	}
-	// Every step misses the cache on every feature (each point is new):
-	// one watch_step span plus solve, cache_get and cache_put per feature.
-	// The session adds parse and admit.
-	started := func(steps int) int { return 2 + steps*(1+3*watchShapeFeatures) }
+	// Every step misses the cache on every feature (each point is new),
+	// yet records only a watch_step span and one solve stage span. The
+	// session adds parse and admit.
+	started := func(steps int) int { return 2 + 2*steps }
 
-	short := watch("watch-short", 4)
-	if len(short.Spans) != started(4) || short.SpansDropped != 0 {
-		t.Fatalf("short session: %d spans, %d dropped; want %d, 0", len(short.Spans), short.SpansDropped, started(4))
+	session := watch("watch-session", watchShapeSteps)
+	if len(session.Spans) != started(watchShapeSteps) || session.SpansDropped != 0 {
+		t.Fatalf("%d-step session: %d spans, %d dropped; want %d, 0",
+			watchShapeSteps, len(session.Spans), session.SpansDropped, started(watchShapeSteps))
+	}
+	for _, sd := range session.Spans {
+		if sd.Name == "solve" && sd.Attrs["features"] != fmt.Sprint(watchShapeFeatures) {
+			t.Fatalf("solve span counts %q features, want %d", sd.Attrs["features"], watchShapeFeatures)
+		}
 	}
 
-	long := watch("watch-long", watchShapeSteps)
+	// 300 steps start 602 spans: the cap keeps parse, admit and the two
+	// spans of each of the first 255 steps.
+	const longSteps = 300
+	long := watch("watch-long", longSteps)
 	if len(long.Spans) != 512 {
 		t.Fatalf("long session kept %d spans, want the 512 cap", len(long.Spans))
 	}
-	if got, want := len(long.Spans)+long.SpansDropped, started(watchShapeSteps); got != want {
+	if got, want := len(long.Spans)+long.SpansDropped, started(longSteps); got != want {
 		t.Fatalf("spans + spans_dropped = %d, want the %d spans started", got, want)
 	}
 	// The cap applies at start, so the survivors are a prefix of the
-	// session: spans 3..512 belong to steps 1..21, step 21 only in part.
+	// session.
 	steps := 0
 	for _, sd := range long.Spans {
 		if sd.Name != "watch_step" {
@@ -101,8 +111,8 @@ func TestWatchTraceSpanCap(t *testing.T) {
 			t.Fatalf("watch_step %d carries step=%q", steps, sd.Attrs["step"])
 		}
 	}
-	if steps != 21 {
-		t.Fatalf("%d watch_step spans survived, want the first 21", steps)
+	if steps != 255 {
+		t.Fatalf("%d watch_step spans survived, want the first 255", steps)
 	}
 	if long.Spans[0].Name != "parse" {
 		t.Fatalf("first kept span %q, want parse", long.Spans[0].Name)
@@ -113,8 +123,8 @@ func TestWatchTraceSpanCap(t *testing.T) {
 // the in-process handler: 64 single-coordinate steps over 8 linear
 // features in 8 dimensions. As in perfbench, 64 sessions are cycled, so
 // the cache sees far more keys than it holds and every step misses. Each
-// session starts about three times the trace's span cap, which makes
-// this the span store's worst case.
+// session records 130 spans: parse, admit, and a watch_step and a solve
+// span per step.
 func BenchmarkWatchSessionHandler(b *testing.B) {
 	s := New(quietConfig(Config{}))
 	h := s.Handler()

@@ -93,13 +93,20 @@ done
 
 echo "smoke: GET /debug/traces"
 curl -fsS "$BASE/debug/traces" >"$TMP/traces.json"
-for field in '"id": "smoke-1"' '"name": "parse"' '"name": "solve"' '"name": "encode"'; do
+# The fault-free trace is per stage: one solve span carrying the
+# system's feature count (one feature here), and no cache span.
+for field in '"id": "smoke-1"' '"name": "parse"' '"name": "solve"' '"features": "1"' '"slowest": "load(edge)"' '"name": "encode"'; do
     grep -qF "$field" "$TMP/traces.json" || {
         echo "smoke: /debug/traces missing: $field" >&2
         cat "$TMP/traces.json" >&2
         exit 1
     }
 done
+if grep -qF '"name": "cache_get"' "$TMP/traces.json"; then
+    echo "smoke: fault-free trace records a cache_get span" >&2
+    cat "$TMP/traces.json" >&2
+    exit 1
+fi
 
 # A 3-step watch session over the smoke system: one ndjson frame per
 # step plus a clean summary. The first frame reports every radius, the
