@@ -130,15 +130,20 @@ smoke:
 	./scripts/smoke.sh
 
 # perfcheck: vet the perfbench module and run each of its workloads for
-# one second with tracing off. Only the exit code counts: every answer
-# passes the Eq. 6 oracle and the /metrics cross-checks hold. No timing
+# one second, once with tracing off and once with it on. Only the exit
+# code counts: every answer passes the Eq. 6 oracle and the /metrics
+# cross-checks hold; the traced run also replays with spans on, adds the
+# side passes over core, kernel, optimize and Watcher.Step, and checks
+# that the traced and untraced replays agree on cache counts. No timing
 # is gated. perfbench is its own module, so `go build ./...` never
 # builds it; this is what notices a change that breaks it.
 PERF_WORKLOADS = analyze_warm batch_cold_linear convex_zipf watch_linear
 perfcheck:
 	cd perfbench && $(GO) vet .
 	for w in $(PERF_WORKLOADS); do \
-		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+		for t in 0 1; do \
+			bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace $$t || exit 1; \
+		done; \
 	done
 
 # tier1: the gate every change must keep green.

@@ -10,7 +10,8 @@
 // systems over the worker pool and shared radius cache), GET /healthz,
 // GET /metrics (Prometheus text exposition, with SLO burn-rate gauges;
 // ?federate=1 merges ring peers' registries), GET /v1/cluster/status
-// (federated per-node health), GET /debug/vars, and GET /debug/traces
+// (federated per-node health), GET /debug/vars (expvar globals plus the
+// registry snapshot), and GET /debug/traces
 // (recent and slowest request traces with per-stage spans — cross-node
 // trees on forwarded requests); see docs/OBSERVABILITY.md. Logs are
 // structured (-log-format

@@ -830,24 +830,35 @@ func genSystem(rng *rand.Rand, id, heavy int) spec.File {
 	return f
 }
 
-// printServerCache fetches /debug/vars and prints the shared-cache line,
-// best-effort (a load test against a remote instance may not expose it).
+// printServerCache scrapes the radius-cache gauges off /metrics and
+// prints the shared-cache line, best-effort (a load test against a
+// remote instance may not expose it). The hit rate is hits over
+// lookups.
 func printServerCache(client *http.Client, base string) {
-	resp, err := client.Get(base + "/debug/vars")
+	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return
 	}
 	defer resp.Body.Close()
-	var vars struct {
-		Cache struct {
-			Hits, Misses   uint64
-			Size, Capacity int
-			HitRate        float64 `json:"hit_rate"`
-		} `json:"fepiad.cache"`
+	cache := make(map[string]float64, 4)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		name, value, _ := strings.Cut(sc.Text(), " ")
+		switch name {
+		case "fepiad_cache_hits", "fepiad_cache_misses", "fepiad_cache_entries", "fepiad_cache_capacity":
+			if v, err := strconv.ParseFloat(value, 64); err == nil {
+				cache[name] = v
+			}
+		}
 	}
-	if json.NewDecoder(resp.Body).Decode(&vars) != nil {
+	if len(cache) != 4 {
 		return
 	}
-	fmt.Printf("server cache: %d hits / %d misses (%.1f%% hit rate), %d/%d entries\n",
-		vars.Cache.Hits, vars.Cache.Misses, 100*vars.Cache.HitRate, vars.Cache.Size, vars.Cache.Capacity)
+	hits, misses := cache["fepiad_cache_hits"], cache["fepiad_cache_misses"]
+	rate := 0.0
+	if hits+misses > 0 {
+		rate = hits / (hits + misses)
+	}
+	fmt.Printf("server cache: %.0f hits / %.0f misses (%.1f%% hit rate), %.0f/%.0f entries\n",
+		hits, misses, 100*rate, cache["fepiad_cache_entries"], cache["fepiad_cache_capacity"])
 }

@@ -354,37 +354,52 @@ func (st *solveStage) end(err error) {
 // retry attempts the policy spent. Tracing is its caller's (solveStage).
 func solveFeature(ctx context.Context, f core.Feature, p core.Perturbation, copts core.Options, opts Options, out *core.RadiusResult) (int, error) {
 	attempts := 0
-	attempt := func() (err error) {
+	err := opts.Retry.Do(ctx, func() error {
 		attempts++
 		if attempts > 1 {
-			// A retried attempt labels its profile samples with the
-			// feature, so a CPU profile of a flaky request names the
-			// feature the policy is re-solving. First attempts — nearly
-			// every solve — skip the label copy.
-			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("feature", f.Name)))
-			defer pprof.SetGoroutineLabels(ctx)
+			return solveLabelled(ctx, f, p, copts, opts, out)
 		}
-		defer func() {
-			if rec := recover(); rec != nil {
-				err = core.RecoveredSolveError(f.Name, rec)
-			}
-		}()
-		if err := faults.Inject(ctx, faults.Solve); err != nil {
-			return err
+		return solveOnce(ctx, f, p, copts, opts, out)
+	})
+	return attempts - 1, err
+}
+
+// solveOnce is one solve attempt: the Solve injection point, then the
+// anytime or cached radius, with a panic recovered into the attempt's
+// error.
+func solveOnce(ctx context.Context, f core.Feature, p core.Perturbation, copts core.Options, opts Options, out *core.RadiusResult) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = core.RecoveredSolveError(f.Name, rec)
 		}
-		if opts.Anytime {
-			*out, err = anytimeRadius(ctx, f, p, copts, opts)
-			return err
-		}
-		if opts.ShareBoundaries {
-			*out, err = opts.Cache.RadiusContextShared(ctx, f, p, copts)
-		} else {
-			*out, err = opts.Cache.RadiusContext(ctx, f, p, copts)
-		}
+	}()
+	if err := faults.Inject(ctx, faults.Solve); err != nil {
 		return err
 	}
-	err := opts.Retry.Do(ctx, attempt)
-	return attempts - 1, err
+	if opts.Anytime {
+		*out, err = anytimeRadius(ctx, f, p, copts, opts)
+		return err
+	}
+	if opts.ShareBoundaries {
+		*out, err = opts.Cache.RadiusContextShared(ctx, f, p, copts)
+	} else {
+		*out, err = opts.Cache.RadiusContext(ctx, f, p, copts)
+	}
+	return err
+}
+
+// solveLabelled runs a retried attempt on a goroutine of its own,
+// labelled with the feature, so a CPU profile of a flaky request names
+// the feature the policy is re-solving. The calling goroutine's labels
+// are never touched: ctx need not carry them (ForEach adds batch_worker
+// to its workers), so a label set restored from ctx would drop them for
+// the rest of the worker's tasks.
+func solveLabelled(ctx context.Context, f core.Feature, p core.Perturbation, copts core.Options, opts Options, out *core.RadiusResult) error {
+	done := make(chan error, 1)
+	go pprof.Do(ctx, pprof.Labels("feature", f.Name), func(context.Context) {
+		done <- solveOnce(ctx, f, p, copts, opts, out)
+	})
+	return <-done
 }
 
 // anytimeRadius is the anytime-mode cache discipline: a counting warm

@@ -1,16 +1,20 @@
 package batch
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fepia/internal/core"
 	"fepia/internal/etcgen"
+	"fepia/internal/faults"
 	"fepia/internal/hcs"
 	"fepia/internal/indalloc"
 	"fepia/internal/stats"
@@ -168,6 +172,72 @@ func TestForEachPoolOfOne(t *testing.T) {
 	ran := false
 	if err := ForEach(ctx, 1, 4, func(int) error { ran = true; return nil }); !errors.Is(err, context.Canceled) || ran {
 		t.Fatalf("cancelled pool of one: err %v, ran %v", err, ran)
+	}
+}
+
+// TestForEachWorkerLabelSurvivesRetry: a retried solve must not strip
+// the batch_worker profiler label ForEach gave its worker. Two workers
+// each solve a job whose first feature meets one scripted solve fault
+// (retried away on one of them) and whose second feature parks inside
+// its impact evaluation; a goroutine profile taken while both are
+// parked must show both parked workers still labelled.
+func TestForEachWorkerLabelSurvivesRetry(t *testing.T) {
+	inj := faults.NewScript().At(faults.Solve, 1, faults.KindError)
+	opts := Options{Workers: 1, Retry: &faults.Policy{
+		MaxAttempts: 3,
+		Sleep:       func(context.Context, time.Duration) error { return nil },
+	}}
+	p := core.Perturbation{Name: "π", Orig: []float64{1, 1}}
+	gates := []*gateImpact{newGateImpact(), newGateImpact()}
+	done := make(chan error, 1)
+	go func() {
+		done <- ForEach(context.Background(), len(gates), 2, func(i int) error {
+			job := Job{Perturbation: p, Features: []core.Feature{
+				{Name: fmt.Sprintf("plain%d", i), Bounds: core.NoMin(9), Impact: &core.FuncImpact{N: 2, Convex: true,
+					F: func(x []float64) float64 { return x[0]*x[0] + x[1]*x[1] }}},
+				{Name: fmt.Sprintf("gate%d", i), Bounds: core.NoMin(9), Impact: &core.FuncImpact{N: 2, Convex: true, F: gates[i].eval}},
+			}}
+			_, err := AnalyzeOneContext(faults.With(context.Background(), inj), job, opts)
+			return err
+		})
+	}()
+	for _, g := range gates {
+		<-g.entered
+	}
+	var prof bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&prof, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range gates {
+		close(g.release)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := inj.Calls(faults.Solve); got != 5 {
+		t.Fatalf("%d solve injections, want 5 (4 features, one retried)", got)
+	}
+
+	// After a "goroutine profile: total N" header, records are blank-line
+	// separated: "<count> @ <pcs>", an optional "# labels: {…}" line,
+	// then the stack.
+	_, records, _ := strings.Cut(prof.String(), "\n")
+	parked, labelled := 0, 0
+	for _, rec := range strings.Split(records, "\n\n") {
+		if !strings.Contains(rec, "(*gateImpact).eval") {
+			continue
+		}
+		var n int
+		if _, err := fmt.Sscanf(rec, "%d @", &n); err != nil {
+			t.Fatalf("unparsable profile record: %v\n%s", err, rec)
+		}
+		parked += n
+		if strings.Contains(rec, `"batch_worker":`) {
+			labelled += n
+		}
+	}
+	if parked != 2 || labelled != 2 {
+		t.Fatalf("%d of %d parked workers carry batch_worker, want 2 of 2:\n%s", labelled, parked, prof.String())
 	}
 }
 

@@ -354,8 +354,9 @@ func (rt *Router) Forward(ctx context.Context, peerID, path string, body []byte,
 }
 
 // Fetch GETs path from the peer under the same per-peer breaker and
-// retry machinery as Forward — the federation fan-out
-// (GET /v1/cluster/status, GET /metrics?federate=1). Responses below
+// retry machinery as Forward — the federation fan-out behind
+// GET /v1/cluster/status and GET /metrics?federate=1, which reads each
+// peer's GET /v1/cluster/metrics snapshot. Responses below
 // 500 are returned verbatim; a 5xx or transport failure is retried,
 // then reported as a *PeerError. Fetches count on their own PeerStats
 // counters but share the breaker: a dead peer discovered by a status

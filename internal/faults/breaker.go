@@ -21,7 +21,7 @@ const (
 	breakerHalfOpen
 )
 
-// String renders the state as exported on /debug/vars.
+// String renders the state as named in a BreakerSnapshot.
 func (s breakerState) String() string {
 	switch s {
 	case breakerOpen:
@@ -181,7 +181,8 @@ func (b *Breaker) reset() {
 	b.ringN, b.ringI, b.fails = 0, 0, 0
 }
 
-// BreakerSnapshot is the /debug/vars view of one breaker.
+// BreakerSnapshot is a point-in-time view of one breaker; the fepiad
+// server exports its fields as the fepiad_breaker_* gauges.
 type BreakerSnapshot struct {
 	// State is "closed", "open", or "half_open".
 	State string `json:"state"`

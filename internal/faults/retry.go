@@ -83,7 +83,7 @@ type Policy struct {
 	// sleep. Tests stub it to run backoff without wall-clock delay.
 	Sleep func(ctx context.Context, d time.Duration) error
 	// OnRetry, when non-nil, observes each re-attempt (the fepiad server
-	// counts them on /debug/vars).
+	// counts them on fepiad_retries_total).
 	OnRetry func(attempt int, delay time.Duration, err error)
 
 	once sync.Once

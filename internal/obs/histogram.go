@@ -190,8 +190,8 @@ func (s HistogramSnapshot) wellFormed() bool { return len(s.Counts) == len(s.Bou
 
 // Merge returns the element-wise sum of two snapshots over identical
 // bounds; it panics on mismatched bucket layouts, malformed Counts
-// included. The fepiad /debug/vars aggregate latency histogram merges
-// the per-endpoint series.
+// included. RegistrySnapshot.Merge folds a peer's histograms in with
+// it for the federated /metrics?federate=1 document.
 func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
 	if len(s.Bounds) != len(o.Bounds) || !s.wellFormed() || !o.wellFormed() {
 		panic("obs: merging histograms with different bucket layouts")

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -173,4 +174,48 @@ func (s RegistrySnapshot) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// Family returns the named family, or nil when the snapshot has none.
+func (s RegistrySnapshot) Family(name string) *FamilySnapshot {
+	for i := range s.Families {
+		if s.Families[i].Name == name {
+			return &s.Families[i]
+		}
+	}
+	return nil
+}
+
+// Sum adds up the counter and gauge values of the named family's series
+// that carry every given label (the whole family when none is given).
+// It is 0 when the family is absent or no series matches; histogram
+// series are skipped.
+func (s RegistrySnapshot) Sum(name string, labels ...Label) float64 {
+	fam := s.Family(name)
+	if fam == nil {
+		return 0
+	}
+	sum := 0.0
+	for _, ss := range fam.Series {
+		if !hasLabels(ss.Labels, labels) {
+			continue
+		}
+		switch {
+		case ss.Counter != nil:
+			sum += float64(*ss.Counter)
+		case ss.Gauge != nil:
+			sum += *ss.Gauge
+		}
+	}
+	return sum
+}
+
+// hasLabels reports whether have carries every label of want.
+func hasLabels(have, want []Label) bool {
+	for _, w := range want {
+		if !slices.Contains(have, w) {
+			return false
+		}
+	}
+	return true
 }

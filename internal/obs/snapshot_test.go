@@ -81,3 +81,36 @@ func FuzzRegistrySnapshotMerge(f *testing.F) {
 		_ = merged.WritePrometheus(io.Discard)
 	})
 }
+
+// TestRegistrySnapshotSum: Sum adds a family's counter and gauge series,
+// narrowed to the series carrying every given label, and reads 0 for an
+// absent family or a histogram.
+func TestRegistrySnapshotSum(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("req_total", "", L("endpoint", "a"), L("code", "200")).Add(3)
+	r.Counter("req_total", "", L("endpoint", "b"), L("code", "200")).Add(4)
+	r.Counter("req_total", "", L("endpoint", "b"), L("code", "500")).Add(5)
+	r.Gauge("temp", "").Set(1.5)
+	r.Histogram("lat", "", []float64{1}).Observe(0.5)
+	snap := r.Snapshot()
+	for _, c := range []struct {
+		name   string
+		labels []Label
+		want   float64
+	}{
+		{"req_total", nil, 12},
+		{"req_total", []Label{L("endpoint", "b")}, 9},
+		{"req_total", []Label{L("code", "200"), L("endpoint", "b")}, 4},
+		{"req_total", []Label{L("endpoint", "c")}, 0},
+		{"temp", nil, 1.5},
+		{"lat", nil, 0},
+		{"absent", nil, 0},
+	} {
+		if got := snap.Sum(c.name, c.labels...); got != c.want {
+			t.Errorf("Sum(%s, %v) = %v, want %v", c.name, c.labels, got, c.want)
+		}
+	}
+	if snap.Family("absent") != nil || snap.Family("temp").Type != "gauge" {
+		t.Errorf("Family lookup wrong: %+v", snap.Families)
+	}
+}

@@ -62,9 +62,8 @@ func TestAnytimeDeadlineServes200(t *testing.T) {
 	}
 	requirePartial(t, body)
 
-	vars := getVars(t, ts.URL)
-	if n, _ := vars["fepiad.anytime_partial"].(float64); n != 1 {
-		t.Fatalf("fepiad.anytime_partial = %v, want 1", vars["fepiad.anytime_partial"])
+	if n := getVars(t, ts.URL).Sum("fepiad_anytime_partial_total"); n != 1 {
+		t.Fatalf("fepiad_anytime_partial_total = %v, want 1", n)
 	}
 }
 

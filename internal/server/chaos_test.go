@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fepia/internal/faults"
+	"fepia/internal/obs"
 	"fepia/internal/spec"
 )
 
@@ -73,34 +74,46 @@ func tripAnalyzeBreaker(t *testing.T, url string, sw *swapInjector) {
 	sw.set(kill)
 	postJSON(t, url+"/v1/analyze", webFarm)
 	postJSON(t, url+"/v1/analyze", webFarm)
-	if state := breakerStateVar(t, getVars(t, url), "fepiad.breaker.analyze"); state != "open" {
+	if state := breakerStateVar(t, getVars(t, url), epAnalyze); state != "open" {
 		t.Fatalf("breaker state = %q after a full failing window, want open", state)
 	}
 }
 
-// getVars fetches and decodes /debug/vars.
-func getVars(t *testing.T, base string) map[string]any {
+// rawVars fetches /debug/vars and splits it into its keys.
+func rawVars(t *testing.T, base string) map[string]json.RawMessage {
 	t.Helper()
 	resp, err := http.Get(base + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var vars map[string]any
+	var vars map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("/debug/vars: %v", err)
+		t.Fatalf("/debug/vars is not valid JSON: %v", err)
 	}
 	return vars
 }
 
-func breakerStateVar(t *testing.T, vars map[string]any, key string) string {
+// getVars decodes the "fepiad" key of /debug/vars, the registry
+// snapshot, failing the test when it is missing.
+func getVars(t *testing.T, base string) obs.RegistrySnapshot {
 	t.Helper()
-	b, ok := vars[key].(map[string]any)
-	if !ok {
-		t.Fatalf("%s missing from /debug/vars", key)
+	vars := rawVars(t, base)
+	var snap obs.RegistrySnapshot
+	if err := json.Unmarshal(vars["fepiad"], &snap); err != nil || len(snap.Families) == 0 {
+		t.Fatalf("/debug/vars \"fepiad\" is not a registry snapshot (%v): %s", err, vars["fepiad"])
 	}
-	state, _ := b["state"].(string)
-	return state
+	return snap
+}
+
+// breakerStateVar names an endpoint breaker's state from the snapshot's
+// fepiad_breaker_state gauge.
+func breakerStateVar(t *testing.T, vars obs.RegistrySnapshot, ep string) string {
+	t.Helper()
+	if vars.Family("fepiad_breaker_state") == nil {
+		t.Fatal("fepiad_breaker_state missing from /debug/vars")
+	}
+	return breakerStateName(vars.Sum("fepiad_breaker_state", obs.L("endpoint", ep)))
 }
 
 // TestChaosDegradedServingAndBreakerOpen drives the full degraded-mode
@@ -170,16 +183,16 @@ func TestChaosDegradedServingAndBreakerOpen(t *testing.T) {
 	}
 
 	vars := getVars(t, ts.URL)
-	if state := breakerStateVar(t, vars, "fepiad.breaker.analyze"); state != "open" {
+	if state := breakerStateVar(t, vars, epAnalyze); state != "open" {
 		t.Fatalf("breaker state = %q after a full failing window, want open", state)
 	}
 	// The endpoints keep separate breakers: analyze failures never trip
 	// batch's.
-	if state := breakerStateVar(t, vars, "fepiad.breaker.batch"); state != "closed" {
+	if state := breakerStateVar(t, vars, epBatch); state != "closed" {
 		t.Fatalf("batch breaker state = %q after analyze failures, want closed", state)
 	}
-	if got := vars["fepiad.degraded"].(float64); got != 2 {
-		t.Fatalf("fepiad.degraded = %v, want 2", got)
+	if got := vars.Sum("fepiad_degraded_total"); got != 2 {
+		t.Fatalf("fepiad_degraded_total = %v, want 2", got)
 	}
 
 	// Open breaker, cached document: still served degraded — the engine is
@@ -221,7 +234,7 @@ func TestChaosBreakerRecovers(t *testing.T) {
 	inj.enabled.Store(true)
 	postJSON(t, ts.URL+"/v1/analyze", webFarm)
 	postJSON(t, ts.URL+"/v1/analyze", webFarm) // trips (window 2)
-	if state := breakerStateVar(t, getVars(t, ts.URL), "fepiad.breaker.analyze"); state != "open" {
+	if state := breakerStateVar(t, getVars(t, ts.URL), epAnalyze); state != "open" {
 		t.Fatalf("breaker state = %q, want open", state)
 	}
 
@@ -234,11 +247,10 @@ func TestChaosBreakerRecovers(t *testing.T) {
 		t.Fatalf("probe after cooldown: status %d, Warning %q: %s", resp.StatusCode, resp.Header.Get("Warning"), body)
 	}
 	vars := getVars(t, ts.URL)
-	if state := breakerStateVar(t, vars, "fepiad.breaker.analyze"); state != "closed" {
+	if state := breakerStateVar(t, vars, epAnalyze); state != "closed" {
 		t.Fatalf("breaker state = %q after healthy probe, want closed", state)
 	}
-	b := vars["fepiad.breaker.analyze"].(map[string]any)
-	if opens := b["opens"].(float64); opens != 1 {
+	if opens := vars.Sum("fepiad_breaker_opens", obs.L("endpoint", epAnalyze)); opens != 1 {
 		t.Fatalf("opens = %v, want exactly 1 trip", opens)
 	}
 }
@@ -269,8 +281,8 @@ func TestChaosTransientSolveRetried(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("retried result differs from library path:\n got %+v\nwant %+v", got, want)
 	}
-	if retries := getVars(t, ts.URL)["fepiad.retries"].(float64); retries < 1 {
-		t.Fatalf("fepiad.retries = %v, want ≥ 1", retries)
+	if retries := getVars(t, ts.URL).Sum("fepiad_retries_total"); retries < 1 {
+		t.Fatalf("fepiad_retries_total = %v, want ≥ 1", retries)
 	}
 }
 
@@ -334,7 +346,7 @@ func TestChaosProbeShedAtAdmissionDoesNotWedgeBreaker(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after shed probe: status %d (breaker wedged half-open): %s", resp.StatusCode, body)
 	}
-	if state := breakerStateVar(t, getVars(t, ts.URL), "fepiad.breaker.analyze"); state != "closed" {
+	if state := breakerStateVar(t, getVars(t, ts.URL), epAnalyze); state != "closed" {
 		t.Fatalf("breaker state = %q after healthy probe, want closed", state)
 	}
 }
@@ -365,7 +377,7 @@ func TestChaosCancelledProbeDoesNotCloseBreaker(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("cancelled probe: status %d, want 503: %s", resp.StatusCode, body)
 	}
-	if state := breakerStateVar(t, getVars(t, ts.URL), "fepiad.breaker.analyze"); state != "half_open" {
+	if state := breakerStateVar(t, getVars(t, ts.URL), epAnalyze); state != "half_open" {
 		t.Fatalf("breaker state = %q after cancelled probe, want half_open (no fabricated success)", state)
 	}
 
@@ -375,7 +387,7 @@ func TestChaosCancelledProbeDoesNotCloseBreaker(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy probe: status %d: %s", resp.StatusCode, body)
 	}
-	if state := breakerStateVar(t, getVars(t, ts.URL), "fepiad.breaker.analyze"); state != "closed" {
+	if state := breakerStateVar(t, getVars(t, ts.URL), epAnalyze); state != "closed" {
 		t.Fatalf("breaker state = %q after healthy probe, want closed", state)
 	}
 }

@@ -1,30 +1,30 @@
-// Federated observability: one node answers for the fleet. GET
-// /v1/cluster/status fans out to every ring peer through the Router's
-// breaker/retry machinery and merges the per-node health documents into
-// one view; GET /metrics?federate=1 does the same with full metric
-// registries (obs.RegistrySnapshot merge). Both degrade per peer — a
-// dead node becomes an unhealthy entry with its error, never a 500 —
-// and both refuse to recurse: the fan-out requests carry ?local=1 and
-// the forwarded-from header, either of which pins the answer to the
-// receiving node. See docs/OBSERVABILITY.md, "Federation".
+// Federated observability: one node answers for the fleet. Both GET
+// /v1/cluster/status and GET /metrics?federate=1 fan out to every ring
+// peer through the Router's breaker/retry machinery with one protocol:
+// each peer's registry snapshot from GET /v1/cluster/metrics. The status
+// document derives one entry per node from its snapshot; the federated
+// exposition merges the snapshots (obs.RegistrySnapshot merge). Both
+// degrade per peer — a dead node becomes an unhealthy entry with its
+// error, never a 500 — and neither recurses: /v1/cluster/metrics answers
+// for the receiving node only. See docs/OBSERVABILITY.md, "Federation".
 package server
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 
 	"fepia/internal/cluster"
-	"fepia/internal/faults"
 	"fepia/internal/obs"
 )
 
 // NodeStatus is one node's entry in the /v1/cluster/status document.
 // Unreachable peers carry Healthy=false and Error; every other field is
-// the node's own self-report.
+// read off the node's registry snapshot (nodeStatus).
 type NodeStatus struct {
 	Node    string `json:"node"`
 	Healthy bool   `json:"healthy"`
@@ -69,71 +69,69 @@ type ClusterStatus struct {
 	NodesHealthy int          `json:"nodes_healthy"`
 }
 
-// localStatus assembles this node's self-report.
-func (s *Server) localStatus() NodeStatus {
-	m := &s.metrics
-	cs := s.cache.Stats()
+// nodeStatus derives one node's status entry from its registry
+// snapshot: the local one for the node itself, a peer's
+// /v1/cluster/metrics document for a peer. Sums run over every series
+// of a family (all endpoints); now dates the snapshot age.
+func nodeStatus(node string, snap obs.RegistrySnapshot, now time.Time) NodeStatus {
+	sum := func(name string) uint64 { return uint64(snap.Sum(name)) }
 	st := NodeStatus{
-		Node:          s.cfg.NodeID,
+		Node:          node,
 		Healthy:       true,
-		Self:          true,
-		UptimeSeconds: int64(time.Since(s.startTime).Seconds()),
-		InFlight:      int64(m.inFlight.Value()),
-		Requests:      m.requestsTotal(),
-		Analyses:      m.analyses.Value(),
-		Errors:        m.errsTotal(),
-		Rejected:      m.rejected.Value(),
+		UptimeSeconds: int64(snap.Sum("fepiad_uptime_seconds")),
+		InFlight:      int64(snap.Sum("fepiad_in_flight")),
+		Requests:      sum("fepiad_requests_total"),
+		Analyses:      sum("fepiad_analyses_total"),
+		Errors:        sum("fepiad_errors_total"),
+		Rejected:      sum("fepiad_rejected_total"),
+		SlowRequests:  sum("fepiad_slow_requests_total"),
 		RingShare:     1,
 		Cache: &CacheStatus{
-			Hits: cs.Hits, Misses: cs.Misses, Size: cs.Size,
-			Capacity: cs.Capacity, HitRate: cs.HitRate(),
+			Hits:     sum("fepiad_cache_hits"),
+			Misses:   sum("fepiad_cache_misses"),
+			Size:     int(snap.Sum("fepiad_cache_entries")),
+			Capacity: int(snap.Sum("fepiad_cache_capacity")),
 		},
 		SnapshotAgeSeconds: -1,
-		Breakers: map[string]string{
-			epAnalyze: breakerState(s.analyzeBreaker),
-			epBatch:   breakerState(s.batchBreaker),
-		},
+		Breakers:           make(map[string]string, 2),
 	}
-	for _, ep := range endpoints {
-		st.SlowRequests += m.slowReqs[ep].Value()
+	if lookups := st.Cache.Hits + st.Cache.Misses; lookups > 0 {
+		st.Cache.HitRate = float64(st.Cache.Hits) / float64(lookups)
 	}
-	if last := s.snapLastUnix.Load(); last > 0 {
-		st.SnapshotAgeSeconds = time.Now().Unix() - last
+	if snap.Family("fepiad_cluster_ring_share") != nil {
+		st.RingShare = snap.Sum("fepiad_cluster_ring_share", obs.L("node", node))
 	}
-	if s.router != nil {
-		st.RingShare = s.router.Ring().Share(s.router.Self())
+	if last := int64(snap.Sum("fepiad_snapshot_last_write_timestamp_seconds")); last > 0 {
+		st.SnapshotAgeSeconds = now.Unix() - last
+	}
+	for _, ep := range []string{epAnalyze, epBatch} {
+		st.Breakers[ep] = breakerStateName(snap.Sum("fepiad_breaker_state", obs.L("endpoint", ep)))
 	}
 	return st
 }
 
-// breakerState names a breaker's state for the status document.
-func breakerState(b *faults.Breaker) string {
-	if b == nil {
-		return "disabled"
-	}
-	return b.Snapshot().State
-}
-
 // handleClusterStatus serves GET /v1/cluster/status. A solo node, a
 // ?local=1 request, or a request already forwarded by a peer answers
-// with its own status only; otherwise the node fans out to every ring
-// peer concurrently and merges. Peer failures degrade per entry — the
-// merged document is always 200 with every ring member present.
+// with its own status only; otherwise every ring peer's snapshot is
+// fetched concurrently and derived into its entry: self first, then the
+// peers sorted by node ID. Peer failures degrade per entry — the
+// document is always 200 with every ring member present.
 func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	self := s.localStatus()
+	now := time.Now()
+	self := nodeStatus(s.cfg.NodeID, s.metrics.reg.Snapshot(), now)
+	self.Self = true
 	doc := ClusterStatus{Self: s.cfg.NodeID, Nodes: []NodeStatus{self}}
-	fanOut := s.router != nil &&
-		r.URL.Query().Get("local") != "1" &&
-		r.Header.Get(cluster.ForwardedFromHeader) == ""
-	if fanOut {
-		doc.Nodes = append(doc.Nodes, s.peerStatuses(r.Context())...)
-	}
-	sort.SliceStable(doc.Nodes, func(i, j int) bool {
-		if doc.Nodes[i].Self != doc.Nodes[j].Self {
-			return doc.Nodes[i].Self
+	if s.router != nil && r.URL.Query().Get("local") != "1" && r.Header.Get(cluster.ForwardedFromHeader) == "" {
+		for _, p := range s.peerSnapshots(r.Context()) {
+			st := NodeStatus{Node: p.id, SnapshotAgeSeconds: -1}
+			if p.err == nil {
+				st = nodeStatus(p.id, p.snap, now)
+			} else {
+				st.Error = p.err.Error()
+			}
+			doc.Nodes = append(doc.Nodes, st)
 		}
-		return doc.Nodes[i].Node < doc.Nodes[j].Node
-	})
+	}
 	doc.NodesTotal = len(doc.Nodes)
 	for _, n := range doc.Nodes {
 		if n.Healthy {
@@ -143,51 +141,50 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// peerStatuses fetches every peer's local status concurrently. Each
-// fetch runs under the peer's breaker and retry policy; a failure of
-// any shape — breaker open, retries exhausted, undecodable answer —
-// becomes an unhealthy entry carrying the error.
-func (s *Server) peerStatuses(ctx context.Context) []NodeStatus {
-	ids := s.router.PeerIDs()
-	out := make([]NodeStatus, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			out[i] = s.fetchPeerStatus(ctx, id)
-		}(i, id)
-	}
-	wg.Wait()
-	return out
-}
-
-// fetchPeerStatus asks one peer for its local status document.
-func (s *Server) fetchPeerStatus(ctx context.Context, id string) NodeStatus {
-	resp, err := s.router.Fetch(ctx, id, "/v1/cluster/status?local=1")
-	if err != nil {
-		return NodeStatus{Node: id, Healthy: false, Error: err.Error(), SnapshotAgeSeconds: -1}
-	}
-	var peerDoc ClusterStatus
-	if resp.Status != http.StatusOK {
-		return NodeStatus{Node: id, Healthy: false,
-			Error: "peer answered status " + http.StatusText(resp.Status), SnapshotAgeSeconds: -1}
-	}
-	if err := json.Unmarshal(resp.Body, &peerDoc); err != nil || len(peerDoc.Nodes) == 0 {
-		return NodeStatus{Node: id, Healthy: false,
-			Error: "undecodable status document", SnapshotAgeSeconds: -1}
-	}
-	st := peerDoc.Nodes[0]
-	st.Self = false
-	st.Node = id
-	return st
-}
-
 // handleClusterMetrics serves GET /v1/cluster/metrics: this node's
 // registry snapshot as JSON — the federation wire a peer merges into
 // its own registry for /metrics?federate=1.
 func (s *Server) handleClusterMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.metrics.reg.Snapshot())
+}
+
+// peerSnapshot is one ring peer's registry snapshot, or the error that
+// kept it from being read.
+type peerSnapshot struct {
+	id   string
+	snap obs.RegistrySnapshot
+	err  error
+}
+
+// peerSnapshots fetches every ring peer's GET /v1/cluster/metrics
+// document concurrently, sorted by peer ID — the one peer-fetch
+// protocol behind both /v1/cluster/status and /metrics?federate=1. Each
+// fetch runs under the peer's breaker and retry policy; a failure of any
+// shape — breaker open, retries exhausted, a non-200 answer, an
+// undecodable document — is kept as the peer's error.
+func (s *Server) peerSnapshots(ctx context.Context) []peerSnapshot {
+	ids := s.router.PeerIDs()
+	sort.Strings(ids)
+	out := make([]peerSnapshot, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func(p *peerSnapshot) {
+			defer wg.Done()
+			p.id = id
+			resp, err := s.router.Fetch(ctx, id, "/v1/cluster/metrics")
+			switch {
+			case err != nil:
+				p.err = err
+			case resp.Status != http.StatusOK:
+				p.err = errors.New("peer answered status " + http.StatusText(resp.Status))
+			case json.Unmarshal(resp.Body, &p.snap) != nil:
+				p.err = errors.New("undecodable metrics snapshot")
+			}
+		}(&out[i])
+	}
+	wg.Wait()
+	return out
 }
 
 // federatedSnapshot merges every reachable peer's registry snapshot
@@ -198,44 +195,26 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, _ *http.Request) {
 // document always renders.
 func (s *Server) federatedSnapshot(ctx context.Context) obs.RegistrySnapshot {
 	snap := s.metrics.reg.Snapshot()
-	ids := s.router.PeerIDs()
-	sort.Strings(ids)
-	peerSnaps := make([]*obs.RegistrySnapshot, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			resp, err := s.router.Fetch(ctx, id, "/v1/cluster/metrics")
-			if err != nil || resp.Status != http.StatusOK {
-				return
-			}
-			var ps obs.RegistrySnapshot
-			if json.Unmarshal(resp.Body, &ps) == nil {
-				peerSnaps[i] = &ps
-			}
-		}(i, id)
-	}
-	wg.Wait()
+	peers := s.peerSnapshots(ctx)
 
 	up := obs.FamilySnapshot{
 		Name: "fepiad_federation_peer_up",
 		Help: "Peers whose registry snapshot merged into this federated document (1 merged, 0 unreachable).",
 		Type: "gauge",
 	}
-	for i, id := range ids {
+	for _, p := range peers {
 		v := 0.0
-		if peerSnaps[i] != nil {
+		if p.err == nil {
 			v = 1
 		}
 		up.Series = append(up.Series, obs.SeriesSnapshot{
-			Labels: []obs.Label{obs.L("peer", id)}, Gauge: &v,
+			Labels: []obs.Label{obs.L("peer", p.id)}, Gauge: &v,
 		})
 	}
 	snap.Merge(obs.RegistrySnapshot{Families: []obs.FamilySnapshot{up}})
-	for _, ps := range peerSnaps {
-		if ps != nil {
-			snap.Merge(*ps)
+	for _, p := range peers {
+		if p.err == nil {
+			snap.Merge(p.snap)
 		}
 	}
 	return snap

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -25,15 +24,15 @@ var endpoints = []string{epAnalyze, epBatch, epWatch}
 
 // latencyBuckets are the upper bounds, in milliseconds, of the
 // per-endpoint request latency histograms (the last bucket is +Inf).
-// /debug/vars renders them as le_<bound> keys; /metrics as cumulative
-// le="<bound>" buckets.
+// /metrics renders them as cumulative le="<bound>" buckets.
 var latencyBuckets = []float64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
-// telemetry is the server's observability state: one obs.Registry that
-// feeds BOTH exposition surfaces — the Prometheus text document on
-// /metrics and the expvar-compatible JSON on /debug/vars — so the two
-// can never disagree, plus the trace ring behind /debug/traces. Every
-// instrument is atomic; handlers never lock to record.
+// telemetry is the server's observability state: one obs.Registry whose
+// snapshot is the only rendering of the server's telemetry — /metrics,
+// the "fepiad" key of /debug/vars, /v1/cluster/metrics, the
+// /v1/cluster/status entries and the drain-time summary all read it —
+// plus the trace ring behind /debug/traces. Every instrument is atomic;
+// handlers never lock to record.
 type telemetry struct {
 	reg    *obs.Registry
 	traces *obs.TraceRing
@@ -63,13 +62,15 @@ type telemetry struct {
 	// out write errors (disk, injected snapshot_write faults) and load
 	// rejections (corrupt, truncated, version skew — a missing file on
 	// first boot is neither). The gauges describe the last successful
-	// write (entries, bytes) and the entry count restored at boot.
+	// write (entries, bytes, Unix time) and the entry count restored at
+	// boot.
 	snapWrites        *obs.Counter
 	snapWriteFailures *obs.Counter
 	snapLoads         *obs.Counter
 	snapLoadFailures  *obs.Counter
 	snapLastEntries   *obs.Gauge
 	snapLastBytes     *obs.Gauge
+	snapLastWrite     *obs.Gauge
 	snapRestored      *obs.Gauge
 
 	// anytimePartial counts responses containing at least one certified
@@ -116,6 +117,8 @@ func newTelemetry(s *Server) telemetry {
 			"Entries in the most recent successful cache snapshot."),
 		snapLastBytes: reg.Gauge("fepiad_snapshot_last_bytes",
 			"Size in bytes of the most recent successful cache snapshot."),
+		snapLastWrite: reg.Gauge("fepiad_snapshot_last_write_timestamp_seconds",
+			"Unix time of the most recent successful cache snapshot write (0 before the first)."),
 		snapRestored: reg.Gauge("fepiad_snapshot_restored_entries",
 			"Entries restored from the snapshot at boot (0 on a cold boot)."),
 		anytimePartial: reg.Counter("fepiad_anytime_partial_total",
@@ -140,6 +143,9 @@ func newTelemetry(s *Server) telemetry {
 		Availability: s.cfg.SLOAvailability,
 	}, nil)
 	t.traces.SetSample(s.cfg.TraceSample)
+	start := time.Now()
+	reg.GaugeFunc("fepiad_uptime_seconds", "Seconds since the server was built.",
+		func() float64 { return time.Since(start).Seconds() })
 
 	cache := s.cache
 	reg.GaugeFunc("fepiad_cache_hits", "Radius-cache lookups served from memory.",
@@ -165,8 +171,15 @@ func newTelemetry(s *Server) telemetry {
 			obs.L("shard", fmt.Sprintf("%d", i)))
 	}
 
-	registerBreaker(reg, epAnalyze, s.analyzeBreaker)
-	registerBreaker(reg, epBatch, s.batchBreaker)
+	for ep, b := range map[string]*faults.Breaker{epAnalyze: s.analyzeBreaker, epBatch: s.batchBreaker} {
+		registerBreaker(reg, "fepiad_breaker", "Circuit-breaker state by endpoint", obs.L("endpoint", ep),
+			func() faults.BreakerSnapshot {
+				if b == nil {
+					return faults.BreakerSnapshot{State: "disabled"}
+				}
+				return b.Snapshot()
+			})
+	}
 	registerCluster(reg, s.router)
 
 	if fs, ok := s.cfg.Injector.(interface{ Stats() faults.Stats }); ok {
@@ -184,26 +197,40 @@ func newTelemetry(s *Server) telemetry {
 	return t
 }
 
-// registerBreaker exposes one endpoint breaker as scrape-time gauges:
-// state (0 closed, 1 half-open, 2 open, -1 disabled) and trip count.
-func registerBreaker(reg *obs.Registry, ep string, b *faults.Breaker) {
-	reg.GaugeFunc("fepiad_breaker_state", "Circuit-breaker state by endpoint: 0 closed, 1 half-open, 2 open, -1 disabled.",
-		func() float64 { return breakerStateValue(breakerState(b)) }, obs.L("endpoint", ep))
-	reg.GaugeFunc("fepiad_breaker_opens", "Circuit-breaker trips by endpoint.",
-		func() float64 {
-			if b == nil {
-				return 0
-			}
-			return float64(b.Snapshot().Opens)
-		}, obs.L("endpoint", ep))
+// registerBreaker exposes one circuit breaker's snapshot as scrape-time
+// gauges labelled l: prefix_state (stateHelp, then the scale 0 closed,
+// 1 half-open, 2 open, -1 disabled), prefix_opens (trips), and the
+// sliding window's content as prefix_window_failures,
+// prefix_window_samples and prefix_window_size.
+func registerBreaker(reg *obs.Registry, prefix, stateHelp string, l obs.Label, snap func() faults.BreakerSnapshot) {
+	by := " by " + l.Name + "."
+	gauges := []struct {
+		suffix, help string
+		value        func(faults.BreakerSnapshot) float64
+	}{
+		{"_state", stateHelp + ": 0 closed, 1 half-open, 2 open, -1 disabled.",
+			func(b faults.BreakerSnapshot) float64 { return breakerStateValue(b.State) }},
+		{"_opens", "Circuit-breaker trips" + by,
+			func(b faults.BreakerSnapshot) float64 { return float64(b.Opens) }},
+		{"_window_failures", "Failures in the circuit breaker's sliding outcome window" + by,
+			func(b faults.BreakerSnapshot) float64 { return float64(b.Failures) }},
+		{"_window_samples", "Outcomes recorded in the circuit breaker's sliding window" + by,
+			func(b faults.BreakerSnapshot) float64 { return float64(b.Samples) }},
+		{"_window_size", "Capacity of the circuit breaker's sliding window" + by,
+			func(b faults.BreakerSnapshot) float64 { return float64(b.Window) }},
+	}
+	for _, g := range gauges {
+		value := g.value
+		reg.GaugeFunc(prefix+g.suffix, g.help, func() float64 { return value(snap()) }, l)
+	}
 }
 
 // registerCluster exposes the cluster peer layer as scrape-time gauges:
 // per-peer forward traffic (fepiad_cluster_forwards_total, _hits, and
 // _failures), per-peer federation traffic (fepiad_cluster_fetches_total
-// and _failures), per-peer breaker state on the same scale as the endpoint
-// breakers, and each ring member's key-space share. A nil router (solo
-// node) registers nothing — the series simply don't exist, matching how
+// and _failures), the per-peer breaker gauges (registerBreaker), and
+// each ring member's key-space share. A nil router (solo node)
+// registers nothing — the series simply don't exist, matching how
 // Prometheus models absent subsystems.
 func registerCluster(reg *obs.Registry, rt *cluster.Router) {
 	if rt == nil {
@@ -221,8 +248,8 @@ func registerCluster(reg *obs.Registry, rt *cluster.Router) {
 			func() float64 { return float64(rt.PeerStats(id).Fetches) }, obs.L("peer", id))
 		reg.GaugeFunc("fepiad_cluster_fetch_failures_total", "Federation GETs that failed after retries or were breaker-rejected.",
 			func() float64 { return float64(rt.PeerStats(id).FetchFailures) }, obs.L("peer", id))
-		reg.GaugeFunc("fepiad_cluster_peer_breaker_state", "Per-peer circuit-breaker state: 0 closed, 1 half-open, 2 open, -1 disabled.",
-			func() float64 { return breakerStateValue(rt.PeerStats(id).Breaker.State) }, obs.L("peer", id))
+		registerBreaker(reg, "fepiad_cluster_peer_breaker", "Per-peer circuit-breaker state", obs.L("peer", id),
+			func() faults.BreakerSnapshot { return rt.PeerStats(id).Breaker })
 	}
 	ring := rt.Ring()
 	for _, id := range ring.Nodes() {
@@ -232,38 +259,27 @@ func registerCluster(reg *obs.Registry, rt *cluster.Router) {
 	}
 }
 
-// breakerStateValue maps a breaker state name (breakerState, or a peer
-// breaker snapshot's) onto the gauge scale: 0 closed, 1 half-open, 2
-// open, -1 disabled.
+// breakerStates names the breaker state gauge values -1 … 2.
+var breakerStates = [...]string{"disabled", "closed", "half_open", "open"}
+
+// breakerStateValue maps a breaker state name onto the gauge scale: 0
+// closed, 1 half-open, 2 open, -1 disabled.
 func breakerStateValue(state string) float64 {
-	switch state {
-	case "open":
-		return 2
-	case "half_open":
-		return 1
-	case "disabled":
-		return -1
+	for i, name := range breakerStates {
+		if name == state {
+			return float64(i - 1)
+		}
 	}
 	return 0
 }
 
-// requestsTotal sums the per-endpoint request counters: the
-// backward-compatible fepiad.requests expvar.
-func (t *telemetry) requestsTotal() uint64 {
-	var n uint64
-	for _, ep := range endpoints {
-		n += t.requests[ep].Value()
+// breakerStateName is breakerStateValue's inverse; a value off the
+// scale reads as closed.
+func breakerStateName(v float64) string {
+	if i := int(v) + 1; i >= 0 && i < len(breakerStates) {
+		return breakerStates[i]
 	}
-	return n
-}
-
-// errsTotal sums the per-endpoint error counters.
-func (t *telemetry) errsTotal() uint64 {
-	var n uint64
-	for _, ep := range endpoints {
-		n += t.errs[ep].Value()
-	}
-	return n
+	return "closed"
 }
 
 // observe records one finished request on its endpoint's histogram,
@@ -273,10 +289,9 @@ func (t *telemetry) observe(ep string, d time.Duration, traceID string) {
 	t.latency[ep].ObserveExemplar(float64(d)/float64(time.Millisecond), traceID)
 }
 
-// handleMetrics serves the Prometheus text exposition. The counters here
-// and the /debug/vars document read the same registry instruments. With
-// ?federate=1 on a clustered node, the document is the fleet view: peer
-// registry snapshots merged into the local one (federation.go).
+// handleMetrics serves the Prometheus text exposition of the registry.
+// With ?federate=1 on a clustered node, the document is the fleet view:
+// peer registry snapshots merged into the local one (federation.go).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if r.URL.Query().Get("federate") == "1" && s.router != nil {
@@ -296,118 +311,18 @@ func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(s.metrics.traces.Snapshot())
 }
 
-// writeVars emits the expvar-compatible JSON document served on
-// /debug/vars: every variable of the process-global expvar registry
-// (cmdline, memstats, …) plus the server-local fepiad.* counters, all
-// sourced from the same obs.Registry instruments as /metrics. The server
-// publishes its own document instead of expvar.Publish because expvar's
-// registry is process-global and would collide across the many Server
-// instances the test suite creates.
-func (s *Server) writeVars(w io.Writer) {
+// handleVars serves the expvar document on /debug/vars: every variable
+// of the process-global expvar registry (cmdline, memstats, …) plus one
+// key, "fepiad", whose value is the registry snapshot
+// /v1/cluster/metrics serves. The server writes the document itself
+// instead of calling expvar.Publish because expvar's registry is
+// process-global and would collide across Server instances.
+func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	snap, _ := json.Marshal(s.metrics.reg.Snapshot())
 	fmt.Fprintf(w, "{\n")
 	expvar.Do(func(kv expvar.KeyValue) {
 		fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value)
 	})
-	m := &s.metrics
-	fmt.Fprintf(w, "%q: %d,\n", "fepiad.requests", m.requestsTotal())
-	fmt.Fprintf(w, "%q: %d,\n", "fepiad.analyses", m.analyses.Value())
-	fmt.Fprintf(w, "%q: %d,\n", "fepiad.rejected", m.rejected.Value())
-	fmt.Fprintf(w, "%q: %d,\n", "fepiad.errors", m.errsTotal())
-	fmt.Fprintf(w, "%q: %d,\n", "fepiad.in_flight", int64(m.inFlight.Value()))
-	fmt.Fprintf(w, "%q: %d,\n", "fepiad.retries", m.retries.Value())
-	fmt.Fprintf(w, "%q: %d,\n", "fepiad.degraded", m.degraded.Value())
-	writeBreakerVar(w, "fepiad.breaker.analyze", s.analyzeBreaker)
-	writeBreakerVar(w, "fepiad.breaker.batch", s.batchBreaker)
-	s.writeClusterVar(w)
-
-	cs := s.cache.Stats()
-	fmt.Fprintf(w, "%q: {\"hits\": %d, \"misses\": %d, \"size\": %d, \"capacity\": %d, \"hit_rate\": %g, \"put_failures\": %d, "+
-		"\"shards\": %d, \"dup_suppressed\": %d, \"contended\": %d},\n",
-		"fepiad.cache", cs.Hits, cs.Misses, cs.Size, cs.Capacity, cs.HitRate(), cs.PutFailures,
-		cs.Shards, cs.DupSuppressed, cs.Contended)
-
-	// Snapshot persistence and anytime serving: always present (zeroed
-	// when the features are off) so dashboards never branch on absence.
-	fmt.Fprintf(w, "%q: {\"writes\": %d, \"write_failures\": %d, \"loads\": %d, \"load_failures\": %d, "+
-		"\"last_entries\": %d, \"last_bytes\": %d, \"restored_entries\": %d},\n",
-		"fepiad.snapshot", m.snapWrites.Value(), m.snapWriteFailures.Value(),
-		m.snapLoads.Value(), m.snapLoadFailures.Value(),
-		int64(m.snapLastEntries.Value()), int64(m.snapLastBytes.Value()), int64(m.snapRestored.Value()))
-	fmt.Fprintf(w, "%q: %d,\n", "fepiad.anytime_partial", m.anytimePartial.Value())
-	fmt.Fprintf(w, "%q: {\"sessions\": %d, \"steps\": %d, \"changed_radii\": %d},\n",
-		"fepiad.watch", m.watchSessions.Value(), m.watchSteps.Value(), m.watchChangedRadii.Value())
-
-	// Per-endpoint latency histograms plus the merged aggregate the
-	// pre-split dashboards read.
-	var agg obs.HistogramSnapshot
-	for i, ep := range endpoints {
-		snap := m.latency[ep].Snapshot()
-		writeLatencyVar(w, "fepiad.latency_ms."+ep, snap, true)
-		if i == 0 {
-			agg = snap
-		} else {
-			agg = agg.Merge(snap)
-		}
-	}
-	writeLatencyVar(w, "fepiad.latency_ms", agg, false)
-	fmt.Fprintf(w, "}\n")
-}
-
-// writeLatencyVar renders one latency histogram in the expvar document's
-// le_<bound> object shape.
-func writeLatencyVar(w io.Writer, name string, snap obs.HistogramSnapshot, comma bool) {
-	fmt.Fprintf(w, "%q: {", name)
-	for i, ub := range snap.Bounds {
-		fmt.Fprintf(w, "\"le_%g\": %d, ", ub, snap.Counts[i])
-	}
-	fmt.Fprintf(w, "\"inf\": %d, ", snap.Counts[len(snap.Bounds)])
-	fmt.Fprintf(w, "\"count\": %d, \"sum_ms\": %d}", snap.Count, uint64(snap.Sum+0.5))
-	if comma {
-		fmt.Fprintf(w, ",")
-	}
-	fmt.Fprintf(w, "\n")
-}
-
-// writeClusterVar emits the fepiad.cluster object of /debug/vars: the
-// node's identity, the cluster-degraded counter, per-peer forward
-// traffic with breaker snapshots, and each ring member's key-space
-// share. Solo nodes emit a minimal object so the variable is always
-// present for dashboards.
-func (s *Server) writeClusterVar(w io.Writer) {
-	if s.router == nil {
-		fmt.Fprintf(w, "%q: {\"enabled\": false},\n", "fepiad.cluster")
-		return
-	}
-	fmt.Fprintf(w, "%q: {\"enabled\": true, \"self\": %q, \"degraded_local\": %d, \"peers\": {",
-		"fepiad.cluster", s.router.Self(), s.metrics.clusterDegraded.Value())
-	for i, id := range s.router.PeerIDs() {
-		if i > 0 {
-			fmt.Fprintf(w, ", ")
-		}
-		st := s.router.PeerStats(id)
-		snap, _ := json.Marshal(st.Breaker)
-		fmt.Fprintf(w, "%q: {\"forwards\": %d, \"hits\": %d, \"failures\": %d, \"breaker\": %s}",
-			id, st.Forwards, st.ForwardHits, st.Failures, snap)
-	}
-	fmt.Fprintf(w, "}, \"ring\": {")
-	ring := s.router.Ring()
-	for i, id := range ring.Nodes() {
-		if i > 0 {
-			fmt.Fprintf(w, ", ")
-		}
-		fmt.Fprintf(w, "%q: %g", id, ring.Share(id))
-	}
-	fmt.Fprintf(w, "}},\n")
-}
-
-// writeBreakerVar emits one endpoint breaker's state object; a nil
-// breaker (Config.BreakerWindow < 0) reports state "disabled" so the
-// variable is always present for dashboards.
-func writeBreakerVar(w io.Writer, name string, b *faults.Breaker) {
-	if b == nil {
-		fmt.Fprintf(w, "%q: {\"state\": \"disabled\"},\n", name)
-		return
-	}
-	snap, _ := json.Marshal(b.Snapshot())
-	fmt.Fprintf(w, "%q: %s,\n", name, snap)
+	fmt.Fprintf(w, "%q: %s\n}\n", "fepiad", snap)
 }

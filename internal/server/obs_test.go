@@ -1,13 +1,14 @@
 package server
 
 // End-to-end tests of the observability surfaces: the Prometheus text
-// exposition on /metrics, its agreement with the expvar document on
-// /debug/vars (both read the same obs.Registry instruments), the
+// exposition on /metrics, the registry snapshot that /debug/vars,
+// /v1/cluster/metrics and /v1/cluster/status all render, the
 // per-endpoint latency split, and the per-stage request traces on
 // /debug/traces — one span per stage, with retry-attempt counts on
 // solve_feature spans when the fault harness makes the engine stumble.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,10 +16,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"fepia/internal/faults"
 	"fepia/internal/obs"
@@ -90,21 +94,6 @@ func scrape(t *testing.T, url string) map[string]float64 {
 	return samples
 }
 
-// debugVars fetches and decodes /debug/vars.
-func debugVars(t *testing.T, url string) map[string]any {
-	t.Helper()
-	resp, err := http.Get(url + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var vars map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("/debug/vars is not valid JSON: %v", err)
-	}
-	return vars
-}
-
 // traces fetches and decodes /debug/traces.
 func traces(t *testing.T, url string) obs.RingSnapshot {
 	t.Helper()
@@ -121,10 +110,9 @@ func traces(t *testing.T, url string) obs.RingSnapshot {
 }
 
 // TestMetricsExpositionAgreesWithVars drives both /v1/ endpoints, then
-// checks the Prometheus document parses, splits latency per endpoint,
-// and agrees with /debug/vars on every shared counter — the two surfaces
-// read the same registry instruments, so disagreement is a bug by
-// construction.
+// checks the Prometheus document parses and splits latency per
+// endpoint. /debug/vars renders the same registry snapshot, which
+// TestDebugVarsIsRegistrySnapshot pins.
 func TestMetricsExpositionAgreesWithVars(t *testing.T) {
 	ts := httptest.NewServer(New(quietConfig(Config{})).Handler())
 	defer ts.Close()
@@ -164,39 +152,186 @@ func TestMetricsExpositionAgreesWithVars(t *testing.T) {
 		t.Errorf("fepiad_cache_misses = %v, want > 0", m[`fepiad_cache_misses`])
 	}
 
-	vars := debugVars(t, ts.URL)
-	agreements := []struct {
-		varKey string
-		series float64
-	}{
-		{"fepiad.requests", m[`fepiad_requests_total{endpoint="analyze"}`] + m[`fepiad_requests_total{endpoint="batch"}`]},
-		{"fepiad.analyses", m[`fepiad_analyses_total`]},
-		{"fepiad.rejected", m[`fepiad_rejected_total`]},
-		{"fepiad.retries", m[`fepiad_retries_total`]},
-		{"fepiad.degraded", m[`fepiad_degraded_total`]},
+}
+
+// volatileFamily reports whether a family is sampled from the clock or
+// the Go runtime, so two snapshots of an idle server may differ in it.
+func volatileFamily(name string) bool {
+	return name == "fepiad_uptime_seconds" || strings.HasPrefix(name, "go_")
+}
+
+// TestDebugVarsIsRegistrySnapshot: on a quiescent server the "fepiad"
+// key of /debug/vars is the registry snapshot /v1/cluster/metrics
+// serves — equal series by series, the clock- and runtime-sampled
+// gauges compared by shape only — and every family on /metrics is in
+// it with the same type. The three surfaces render one snapshot, so no
+// hand-kept list of shared counters is needed to keep them agreeing.
+func TestDebugVarsIsRegistrySnapshot(t *testing.T) {
+	s := New(quietConfig(Config{}))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	postJSON(t, ts.URL+"/v1/analyze", linearSpec(1))
+	postJSON(t, ts.URL+"/v1/analyze", linearSpec(1))
+	postJSON(t, ts.URL+"/v1/analyze", `{"bad json`)
+	postJSON(t, ts.URL+"/v1/batch", `{"systems": [`+linearSpec(2)+`]}`)
+
+	vars := getVars(t, ts.URL)
+	resp, err := http.Get(ts.URL + "/v1/cluster/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range agreements {
-		got, ok := vars[a.varKey].(float64)
-		if !ok || got != a.series {
-			t.Errorf("/debug/vars %s = %v (present=%v), want %v (per /metrics)", a.varKey, vars[a.varKey], ok, a.series)
+	var served obs.RegistrySnapshot
+	err = json.NewDecoder(resp.Body).Decode(&served)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range []obs.RegistrySnapshot{vars, served} {
+		for _, fam := range snap.Families {
+			if volatileFamily(fam.Name) {
+				for _, ss := range fam.Series {
+					*ss.Gauge = 0
+				}
+			}
 		}
 	}
+	if !reflect.DeepEqual(vars, served) {
+		t.Fatalf("/debug/vars \"fepiad\" differs from /v1/cluster/metrics:\n%+v\n%+v", vars, served)
+	}
 
-	// Per-endpoint latency split in the expvar document: the aggregate is
-	// the merge of the two endpoint histograms.
-	count := func(key string) float64 {
-		h, _ := vars[key].(map[string]any)
-		c, _ := h["count"].(float64)
-		return c
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c := count("fepiad.latency_ms.analyze"); c != 2 {
-		t.Errorf("fepiad.latency_ms.analyze count = %v, want 2", c)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c := count("fepiad.latency_ms.batch"); c != 1 {
-		t.Errorf("fepiad.latency_ms.batch count = %v, want 1", c)
+	families := 0
+	for _, line := range strings.Split(string(body), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" {
+			continue
+		}
+		families++
+		if fam := vars.Family(f[2]); fam == nil || fam.Type != f[3] {
+			t.Errorf("/metrics family %s (%s) is not in the /debug/vars snapshot: %+v", f[2], f[3], fam)
+		}
 	}
-	if agg, split := count("fepiad.latency_ms"), count("fepiad.latency_ms.analyze")+count("fepiad.latency_ms.batch"); agg != split {
-		t.Errorf("aggregate latency count %v != sum of endpoint counts %v", agg, split)
+	if families != len(vars.Families) {
+		t.Errorf("/metrics has %d families, the /debug/vars snapshot %d", families, len(vars.Families))
+	}
+	for _, name := range []string{"fepiad_uptime_seconds", "fepiad_breaker_window_failures",
+		"fepiad_breaker_window_samples", "fepiad_breaker_window_size", "fepiad_snapshot_last_write_timestamp_seconds"} {
+		if !strings.Contains(string(body), "\n"+name) {
+			t.Errorf("/metrics has no %s series", name)
+		}
+	}
+}
+
+// TestClusterStatusPinsInstruments drives a scripted solo node — two
+// analyses, one request shed by the admission gate, one malformed
+// request — writes one cache snapshot, and pins every field of its
+// /v1/cluster/status entry against the instruments it is derived from.
+func TestClusterStatusPinsInstruments(t *testing.T) {
+	s := New(quietConfig(Config{
+		NodeID:           "solo",
+		MaxInFlight:      1,
+		SnapshotPath:     filepath.Join(t.TempDir(), "cache.snap"),
+		SnapshotInterval: -1,
+	}))
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.beforeAnalyze = func() {
+		entered <- struct{}{}
+		<-release
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	booted := time.Now()
+
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(linearSpec(1)))
+		if err != nil {
+			held <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	<-entered
+	if resp, body := postJSON(t, ts.URL+"/v1/analyze", linearSpec(2)); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("shed: status %d, want 503 (%s)", resp.StatusCode, body)
+	}
+	close(release)
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held analysis: status %d", code)
+	}
+	s.beforeAnalyze = nil
+	if resp, body := postJSON(t, ts.URL+"/v1/analyze", linearSpec(1)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("second analysis: status %d (%s)", resp.StatusCode, body)
+	}
+	if resp, _ := postJSON(t, ts.URL+"/v1/analyze", `{"bad json`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed request: status %d, want 400", resp.StatusCode)
+	}
+	s.writeSnapshot(context.Background(), "test")
+
+	resp, err := http.Get(ts.URL + "/v1/cluster/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc ClusterStatus
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Self != "solo" || doc.NodesTotal != 1 || doc.NodesHealthy != 1 || len(doc.Nodes) != 1 {
+		t.Fatalf("solo status document: %+v", doc)
+	}
+	got := doc.Nodes[0]
+	if max := int64(time.Since(booted).Seconds()) + 1; got.UptimeSeconds < 0 || got.UptimeSeconds > max {
+		t.Errorf("uptime_seconds = %d, want within [0, %d]", got.UptimeSeconds, max)
+	}
+	if age := time.Now().Unix() - int64(s.metrics.snapLastWrite.Value()); got.SnapshotAgeSeconds < 0 || got.SnapshotAgeSeconds > age {
+		t.Errorf("snapshot_age_seconds = %d, want within [0, %d]", got.SnapshotAgeSeconds, age)
+	}
+
+	m := &s.metrics
+	var requests, errs, slow uint64
+	for _, ep := range endpoints {
+		requests += m.requests[ep].Value()
+		errs += m.errs[ep].Value()
+		slow += m.slowReqs[ep].Value()
+	}
+	cs := s.cache.Stats()
+	want := NodeStatus{
+		Node:               "solo",
+		Healthy:            true,
+		Self:               true,
+		UptimeSeconds:      got.UptimeSeconds,
+		InFlight:           int64(m.inFlight.Value()),
+		Requests:           requests,
+		Analyses:           m.analyses.Value(),
+		Errors:             errs,
+		Rejected:           m.rejected.Value(),
+		SlowRequests:       slow,
+		RingShare:          1,
+		Cache:              &CacheStatus{Hits: cs.Hits, Misses: cs.Misses, Size: cs.Size, Capacity: cs.Capacity, HitRate: cs.HitRate()},
+		SnapshotAgeSeconds: got.SnapshotAgeSeconds,
+		Breakers:           map[string]string{epAnalyze: "closed", epBatch: "closed"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("status entry differs from the instruments:\n got %+v\nwant %+v", got, want)
+	}
+	// The script, counted independently of the instruments: the shed 503
+	// and the 400 are the two errors, and the repeated system hits every
+	// radius the first analysis missed.
+	if want.Requests != 4 || want.Analyses != 2 || want.Rejected != 1 || want.Errors != 2 || want.InFlight != 0 ||
+		want.Cache.Hits == 0 || want.Cache.Hits != want.Cache.Misses || want.Cache.Size == 0 {
+		t.Fatalf("instruments disagree with the scripted run: %+v %+v", want, *want.Cache)
 	}
 }
 

@@ -14,9 +14,11 @@
 // shutdown and force-cancels them via context if the drain budget runs
 // out; /healthz answers liveness probes.
 //
-// Observability (docs/OBSERVABILITY.md): one internal/obs registry feeds
-// both the Prometheus text exposition on /metrics and the
-// expvar-compatible /debug/vars, so the two can never disagree. Every
+// Observability (docs/OBSERVABILITY.md): one internal/obs registry
+// snapshot is the only rendering of the server's telemetry — the
+// Prometheus text exposition on /metrics, the "fepiad" key of
+// /debug/vars, /v1/cluster/metrics and /v1/cluster/status all read it,
+// so no two surfaces can disagree. Every
 // /v1/ request carries a request ID (accepted from or emitted as
 // X-Request-Id), is logged as one structured slog line, and is traced
 // with one span per pipeline stage — parse, breaker, admit, one solve
@@ -59,7 +61,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fepia/internal/batch"
@@ -293,13 +294,6 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// startTime anchors the uptime reported on /v1/cluster/status.
-	startTime time.Time
-	// snapLastUnix is the wall-clock second of the last successful cache
-	// snapshot write (0 when none has happened), read by the federated
-	// status document as snapshot age.
-	snapLastUnix atomic.Int64
-
 	// beforeAnalyze, when non-nil, runs after a request is admitted and
 	// parsed but before its analysis starts. Tests use it to hold
 	// requests in flight deterministically.
@@ -314,11 +308,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		cache:     batch.NewCacheSharded(cfg.CacheCapacity, cfg.CacheShards),
-		gate:      make(chan struct{}, cfg.MaxInFlight),
-		mux:       http.NewServeMux(),
-		startTime: time.Now(),
+		cfg:   cfg,
+		cache: batch.NewCacheSharded(cfg.CacheCapacity, cfg.CacheShards),
+		gate:  make(chan struct{}, cfg.MaxInFlight),
+		mux:   http.NewServeMux(),
 	}
 	if cfg.RetryMax > 1 {
 		s.retry = &faults.Policy{
@@ -529,32 +522,27 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 
 // flushFinalMetrics emits the end-of-life counter summary: the last
 // structured line a pod writes, so post-mortems see its totals even when
-// the scraper missed the final interval.
+// the scraper missed the final interval. It reads the registry snapshot,
+// like every other rendering of the server's telemetry.
 func (s *Server) flushFinalMetrics(clean bool) {
-	m := &s.metrics
-	cs := s.cache.Stats()
+	snap := s.metrics.reg.Snapshot()
+	sum := func(name string) uint64 { return uint64(snap.Sum(name)) }
 	s.cfg.Log.Info("final metrics",
 		"clean_drain", clean,
-		"requests", m.requestsTotal(),
-		"analyses", m.analyses.Value(),
-		"errors", m.errsTotal(),
-		"rejected", m.rejected.Value(),
-		"retries", m.retries.Value(),
-		"degraded", m.degraded.Value(),
-		"cache_hits", cs.Hits,
-		"cache_misses", cs.Misses)
+		"requests", sum("fepiad_requests_total"),
+		"analyses", sum("fepiad_analyses_total"),
+		"errors", sum("fepiad_errors_total"),
+		"rejected", sum("fepiad_rejected_total"),
+		"retries", sum("fepiad_retries_total"),
+		"degraded", sum("fepiad_degraded_total"),
+		"cache_hits", sum("fepiad_cache_hits"),
+		"cache_misses", sum("fepiad_cache_misses"))
 }
 
 // handleHealthz is the liveness probe.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"status\": \"ok\", \"in_flight\": %d}\n", int64(s.metrics.inFlight.Value()))
-}
-
-// handleVars serves the expvar-compatible counter document.
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	s.writeVars(w)
 }
 
 // request is one /v1/analyze or /v1/batch request on its way through

@@ -417,7 +417,7 @@ func TestDrainTimeoutCancelsAnalyses(t *testing.T) {
 	close(release)
 	<-clientDone
 	deadline := time.Now().Add(2 * time.Second)
-	for s.metrics.errsTotal() == 0 {
+	for s.metrics.reg.Snapshot().Sum("fepiad_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("in-flight analysis was never cancelled")
 		}
@@ -452,49 +452,38 @@ func TestHealthzAndVars(t *testing.T) {
 	// A second, cache-hitting analysis so the cache counters move.
 	postJSON(t, ts.URL+"/v1/analyze", webFarm)
 
-	resp, err = http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
+	vars := getVars(t, ts.URL)
+	if got := vars.Sum("fepiad_requests_total"); got < 2 {
+		t.Errorf("fepiad_requests_total = %v, want ≥ 2", got)
 	}
-	var vars map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("/debug/vars is not valid JSON: %v", err)
+	if got := vars.Sum("fepiad_analyses_total"); got < 2 {
+		t.Errorf("fepiad_analyses_total = %v, want ≥ 2", got)
 	}
-	resp.Body.Close()
-	if got := vars["fepiad.requests"].(float64); got < 2 {
-		t.Errorf("fepiad.requests = %v, want ≥ 2", got)
+	if vars.Sum("fepiad_cache_hits") == 0 {
+		t.Error("fepiad_cache_hits is 0 after a repeated analysis")
 	}
-	if got := vars["fepiad.analyses"].(float64); got < 2 {
-		t.Errorf("fepiad.analyses = %v, want ≥ 2", got)
+	var observed uint64
+	for _, ss := range vars.Family("fepiad_request_duration_ms").Series {
+		observed += ss.Hist.Count
 	}
-	cache, ok := vars["fepiad.cache"].(map[string]any)
-	if !ok || cache["hits"].(float64) == 0 {
-		t.Errorf("fepiad.cache shows no hits after a repeated analysis: %v", vars["fepiad.cache"])
+	if observed < 2 {
+		t.Errorf("fepiad_request_duration_ms holds %d observations, want ≥ 2", observed)
 	}
-	lat, ok := vars["fepiad.latency_ms"].(map[string]any)
-	if !ok || lat["count"].(float64) < 2 {
-		t.Errorf("fepiad.latency_ms histogram missing observations: %v", vars["fepiad.latency_ms"])
-	}
-	if _, ok := vars["memstats"]; !ok {
+	if _, ok := rawVars(t, ts.URL)["memstats"]; !ok {
 		t.Error("global expvar variables (memstats) not re-exported")
 	}
 	// Resilience counters are always present (zero on a healthy run) so
 	// dashboards can rely on them.
-	for _, key := range []string{"fepiad.retries", "fepiad.degraded"} {
-		if got, ok := vars[key].(float64); !ok {
-			t.Errorf("%s missing from /debug/vars", key)
-		} else if got != 0 {
-			t.Errorf("%s = %v on a healthy run, want 0", key, got)
+	for _, name := range []string{"fepiad_retries_total", "fepiad_degraded_total"} {
+		if vars.Family(name) == nil {
+			t.Errorf("%s missing from /debug/vars", name)
+		} else if got := vars.Sum(name); got != 0 {
+			t.Errorf("%s = %v on a healthy run, want 0", name, got)
 		}
 	}
-	for _, key := range []string{"fepiad.breaker.analyze", "fepiad.breaker.batch"} {
-		b, ok := vars[key].(map[string]any)
-		if !ok {
-			t.Errorf("%s missing from /debug/vars", key)
-			continue
-		}
-		if state := b["state"]; state != "closed" {
-			t.Errorf("%s.state = %v on a healthy run, want closed", key, state)
+	for _, ep := range []string{epAnalyze, epBatch} {
+		if state := breakerStateVar(t, vars, ep); state != "closed" {
+			t.Errorf("%s breaker state = %v on a healthy run, want closed", ep, state)
 		}
 	}
 }

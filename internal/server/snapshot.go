@@ -137,7 +137,7 @@ func (s *Server) writeSnapshot(ctx context.Context, reason string) {
 		s.metrics.snapWrites.Inc()
 		s.metrics.snapLastEntries.Set(float64(n))
 		s.metrics.snapLastBytes.Set(float64(buf.Len()))
-		s.snapLastUnix.Store(time.Now().Unix())
+		s.metrics.snapLastWrite.Set(float64(time.Now().Unix()))
 		return nil
 	}()
 	sp.End(err)

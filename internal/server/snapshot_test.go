@@ -17,20 +17,16 @@ import (
 	"fepia/internal/spec"
 )
 
-// snapVars decodes the always-present fepiad.snapshot object.
+// snapVars reads the always-present fepiad_snapshot_* series off the
+// /debug/vars registry snapshot, keyed by family name.
 func snapVars(t *testing.T, base string) map[string]float64 {
 	t.Helper()
-	raw, ok := getVars(t, base)["fepiad.snapshot"].(map[string]any)
-	if !ok {
-		t.Fatal("fepiad.snapshot missing from /debug/vars")
-	}
-	out := make(map[string]float64, len(raw))
-	for k, v := range raw {
-		f, ok := v.(float64)
-		if !ok {
-			t.Fatalf("fepiad.snapshot.%s is %T, want a number", k, v)
+	snap := getVars(t, base)
+	out := make(map[string]float64)
+	for _, fam := range snap.Families {
+		if strings.HasPrefix(fam.Name, "fepiad_snapshot_") {
+			out[fam.Name] = snap.Sum(fam.Name)
 		}
-		out[k] = f
 	}
 	return out
 }
@@ -102,7 +98,7 @@ func TestSnapshotRestartWarmFirstRequest(t *testing.T) {
 		t.Fatalf("first post-restart request not served warm: meta = %+v", res.Meta)
 	}
 	sv := snapVars(t, ts.URL)
-	if sv["loads"] != 1 || sv["restored_entries"] == 0 || sv["load_failures"] != 0 {
+	if sv["fepiad_snapshot_loads_total"] != 1 || sv["fepiad_snapshot_restored_entries"] == 0 || sv["fepiad_snapshot_load_failures_total"] != 0 {
 		t.Fatalf("snapshot vars after warm boot = %v", sv)
 	}
 
@@ -138,7 +134,7 @@ func TestSnapshotChaosCorruptFileBootsCold(t *testing.T) {
 		t.Fatalf("serving after corrupt snapshot: status %d (%s)", resp.StatusCode, body)
 	}
 	sv := snapVars(t, ts.URL)
-	if sv["load_failures"] != 1 || sv["loads"] != 0 || sv["restored_entries"] != 0 {
+	if sv["fepiad_snapshot_load_failures_total"] != 1 || sv["fepiad_snapshot_loads_total"] != 0 || sv["fepiad_snapshot_restored_entries"] != 0 {
 		t.Fatalf("snapshot vars after corrupt boot = %v", sv)
 	}
 }
@@ -167,7 +163,7 @@ func TestSnapshotChaosPartialTempIgnored(t *testing.T) {
 	if res.Meta == nil || res.Meta.Cache != spec.CacheHit {
 		t.Fatalf("good snapshot not loaded past the stale temp file: meta = %+v", res.Meta)
 	}
-	if sv := snapVars(t, ts.URL); sv["loads"] != 1 || sv["load_failures"] != 0 {
+	if sv := snapVars(t, ts.URL); sv["fepiad_snapshot_loads_total"] != 1 || sv["fepiad_snapshot_load_failures_total"] != 0 {
 		t.Fatalf("snapshot vars = %v", sv)
 	}
 }
@@ -209,7 +205,7 @@ func TestSnapshotChaosWriteFaultKeepsLastGood(t *testing.T) {
 			if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 				t.Fatalf("temp file left behind after failed write: %v", err)
 			}
-			if sv := snapVars(t, ts.URL); sv["write_failures"] != 1 || sv["writes"] != 0 {
+			if sv := snapVars(t, ts.URL); sv["fepiad_snapshot_write_failures_total"] != 1 || sv["fepiad_snapshot_writes_total"] != 0 {
 				t.Fatalf("snapshot vars = %v", sv)
 			}
 

@@ -261,7 +261,7 @@ func TestWatchMidStreamError(t *testing.T) {
 }
 
 // TestWatchMetrics: a finished session shows up on both exposition
-// surfaces — fepiad_watch_* on /metrics and fepiad.watch on /debug/vars —
+// surfaces — fepiad_watch_* on /metrics and in the /debug/vars snapshot —
 // with steps and changed-radii counts matching the stream.
 func TestWatchMetrics(t *testing.T) {
 	ts := httptest.NewServer(New(quietConfig(Config{Kernel: true})).Handler())
@@ -297,25 +297,11 @@ func TestWatchMetrics(t *testing.T) {
 		}
 	}
 
-	vresp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(vresp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	vresp.Body.Close()
-	var wv struct {
-		Sessions     int `json:"sessions"`
-		Steps        int `json:"steps"`
-		ChangedRadii int `json:"changed_radii"`
-	}
-	if err := json.Unmarshal(vars["fepiad.watch"], &wv); err != nil {
-		t.Fatalf("fepiad.watch missing from /debug/vars: %v", err)
-	}
-	if wv.Sessions != 1 || wv.Steps != 2 || wv.ChangedRadii != summary.TotalChanged {
-		t.Fatalf("fepiad.watch = %+v, want {1 2 %d}", wv, summary.TotalChanged)
+	vars := getVars(t, ts.URL)
+	wv := [3]float64{vars.Sum("fepiad_watch_sessions_total"), vars.Sum("fepiad_watch_steps_total"),
+		vars.Sum("fepiad_watch_changed_radii_total")}
+	if wv != [3]float64{1, 2, float64(summary.TotalChanged)} {
+		t.Fatalf("fepiad_watch_* on /debug/vars = %v, want [1 2 %d]", wv, summary.TotalChanged)
 	}
 }
 

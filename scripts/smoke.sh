@@ -1,10 +1,10 @@
 #!/bin/sh
 # smoke.sh — boot a real fepiad binary, drive one analysis through it,
 # and verify the observability surfaces answer: /healthz, /metrics
-# (Prometheus text exposition), /debug/vars, and /debug/traces with the
-# request's spans — then stream a short /v1/watch session and verify the
-# incremental frames and the fepiad_watch_* counters on both metric
-# surfaces. Then boot a 2-node consistent-hash ring and verify
+# (Prometheus text exposition), /debug/vars (the registry snapshot), and
+# /debug/traces with the request's spans — then stream a short /v1/watch
+# session and verify the incremental frames and the fepiad_watch_*
+# counters on both metric surfaces. Then boot a 2-node consistent-hash ring and verify
 # cluster serving: /v1/ring membership, owner forwarding with the
 # X-Fepiad-Forwarded / X-Fepiad-Node headers, the response meta block
 # (docs/CLUSTER.md), cross-node trace stitching on the ingress
@@ -73,6 +73,11 @@ for series in \
     'fepiad_slo_error_budget_remaining{endpoint="analyze",slo="availability"} 1' \
     'fepiad_slo_objective{endpoint="analyze",slo="latency"} 500' \
     '# {trace_id="' \
+    'fepiad_breaker_window_failures{endpoint="analyze"} 0' \
+    'fepiad_breaker_window_samples{endpoint="analyze"}' \
+    'fepiad_breaker_window_size{endpoint="batch"}' \
+    'fepiad_uptime_seconds ' \
+    'fepiad_snapshot_last_write_timestamp_seconds 0' \
     'go_goroutines'; do
     grep -qF "$series" "$TMP/metrics.txt" || {
         echo "smoke: /metrics missing: $series" >&2
@@ -81,9 +86,13 @@ for series in \
     }
 done
 
+# /debug/vars is the expvar globals plus "fepiad": the registry snapshot
+# /v1/cluster/metrics serves, so the /metrics families are named in it.
 echo "smoke: GET /debug/vars"
 curl -fsS "$BASE/debug/vars" >"$TMP/vars.json"
-for key in '"fepiad.requests": 1' '"fepiad.latency_ms.analyze"' '"fepiad.cache"' '"dup_suppressed"' '"shards"'; do
+for key in '"memstats":' '"fepiad": {"families":' '"name":"fepiad_requests_total"' \
+    '"name":"fepiad_request_duration_ms"' '"name":"fepiad_cache_dup_suppressed"' \
+    '"name":"fepiad_cache_shards"' '"name":"fepiad_breaker_window_samples"' '"name":"fepiad_uptime_seconds"'; do
     grep -qF "$key" "$TMP/vars.json" || {
         echo "smoke: /debug/vars missing: $key" >&2
         cat "$TMP/vars.json" >&2
@@ -111,7 +120,7 @@ fi
 # A 3-step watch session over the smoke system: one ndjson frame per
 # step plus a clean summary. The first frame reports every radius, the
 # later single-coordinate steps only what moved, and the session shows
-# up as fepiad_watch_* on /metrics and fepiad.watch on /debug/vars.
+# up as fepiad_watch_* on /metrics and in the /debug/vars snapshot.
 echo "smoke: POST /v1/watch"
 cat >"$TMP/watch.json" <<'EOF'
 {
@@ -155,8 +164,9 @@ for series in \
         exit 1
     }
 done
-curl -fsS "$BASE/debug/vars" | grep -qF '"fepiad.watch"' || {
-    echo "smoke: /debug/vars missing fepiad.watch after watch session" >&2
+curl -fsS "$BASE/debug/vars" >"$TMP/vars-watch.json"
+grep -qF '"name":"fepiad_watch_steps_total"' "$TMP/vars-watch.json" || {
+    echo "smoke: /debug/vars missing fepiad_watch_steps_total after watch session" >&2
     exit 1
 }
 
@@ -342,8 +352,9 @@ curl -fsS "$BASE_R/metrics" | grep -q '^fepiad_snapshot_loads_total 1' || {
     echo "smoke: /metrics missing fepiad_snapshot_loads_total 1 after warm boot" >&2
     exit 1
 }
-curl -fsS "$BASE_R/debug/vars" | grep -qF '"fepiad.snapshot"' || {
-    echo "smoke: /debug/vars missing fepiad.snapshot" >&2
+curl -fsS "$BASE_R/debug/vars" >"$TMP/vars-restart.json"
+grep -qF '"name":"fepiad_snapshot_loads_total"' "$TMP/vars-restart.json" || {
+    echo "smoke: /debug/vars missing fepiad_snapshot_loads_total" >&2
     exit 1
 }
 kill -TERM "$SERVER_PID"
