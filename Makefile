@@ -99,7 +99,9 @@ endif
 # (FuzzParse, FuzzParseBatch, FuzzWatchRequest: the fast path must agree
 # with encoding/json on verdict, value and error bytes), the response
 # encoder (FuzzAppendResult: byte-identical to json.Encoder), the
-# retryable-error classifier, the cache-snapshot decoder, the peer
+# retryable-error classifier, the cache-snapshot decoder, the radius
+# cache against a reference model of its shard (FuzzCacheModel: counts,
+# lookups and LRU order must agree after every operation), the peer
 # trace decoders (FuzzParseTraceHeader for X-Fepiad-Trace,
 # FuzzStitchSpans for the X-Fepiad-Spans export stitched into a trace),
 # and the federated metrics merge (FuzzRegistrySnapshotMerge: a peer's
@@ -111,6 +113,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzAppendResult$$' -fuzztime=30s ./internal/spec
 	$(GO) test -fuzz=FuzzRetryable -fuzztime=30s ./internal/faults
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/batch
+	$(GO) test -fuzz='^FuzzCacheModel$$' -fuzztime=30s ./internal/batch
 	$(GO) test -fuzz='^FuzzParseTraceHeader$$' -fuzztime=30s ./internal/obs
 	$(GO) test -fuzz='^FuzzRegistrySnapshotMerge$$' -fuzztime=30s ./internal/obs
 	$(GO) test -fuzz='^FuzzStitchSpans$$' -fuzztime=30s ./internal/server

@@ -1,7 +1,7 @@
 package batch
 
 import (
-	"container/list"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -36,14 +36,15 @@ const maxShards = 256
 // its result cannot go stale while the entry lives.
 //
 // Scaling: the cache is split into a power-of-two number of shards, each
-// its own mutex + LRU list + map, selected by a 64-bit FNV-1a hash of the
-// byte key. The hash only routes — it never decides equality; the shard
-// map is keyed by the full byte key, so a hash collision merely co-locates
-// two subproblems on one shard. Concurrent misses on the same key are
-// deduplicated (singleflight): the first caller becomes the leader and
-// runs core.ComputeRadius once, every concurrent caller of the same key
-// parks until the leader publishes, and a leader failure propagates to
-// the waiters without anything being cached.
+// its own mutex + slab of entry slots, selected by a 64-bit FNV-1a hash
+// of the byte key. The same hash indexes the slot inside the shard, but
+// it never decides equality: slots whose keys share a hash are chained
+// and compared by the full byte key, so a hash collision merely costs a
+// chain step. Concurrent misses on the same key are deduplicated
+// (singleflight): the first caller becomes the leader and runs
+// core.ComputeRadius once, every concurrent caller of the same key parks
+// until the leader publishes, and a leader failure propagates to the
+// waiters without anything being cached.
 //
 // Eviction is LRU per shard with a fixed per-shard entry capacity. All
 // methods are safe for concurrent use; a nil *Cache is valid and simply
@@ -61,16 +62,49 @@ type Cache struct {
 	contended atomic.Uint64
 }
 
-// cacheShard is one independently locked slice of the key space.
+// none is the null slot index: an empty chain, LRU end or lookup miss.
+const none int32 = -1
+
+// cacheShard is one independently locked slice of the key space. Its
+// entries live in slots, a slab that grows lazily up to capacity; once
+// it is full an insert reuses the least recently used slot, key buffer
+// included, so a steady-state miss allocates nothing for bookkeeping.
+// index maps a key's fnv1a hash to the first slot of its chain, LRU
+// order is an intrusive doubly linked list of slot indices, and the
+// solves in progress sit in flights. Every field is guarded by mu.
 type cacheShard struct {
 	mu       sync.Mutex
 	capacity int
-	order    *list.List // front = most recently used
-	entries  map[string]*list.Element
-	inflight map[string]*flight
-	hits     uint64
-	misses   uint64
-	dup      uint64
+	slots    []slot
+	index    map[uint64]int32
+	// head is the most and tail the least recently used slot (none while
+	// the shard is empty).
+	head, tail int32
+	// flights are the solves in progress; idle holds retired flights
+	// that no waiter ever saw, ready for the next miss.
+	flights []*flight
+	idle    []*flight
+	hits    uint64
+	misses  uint64
+	dup     uint64
+}
+
+// slot is one memoised radius. The impact reference keeps pointer-keyed
+// impacts alive so their addresses cannot be recycled into a colliding
+// key by the garbage collector. key is the full byte key, owned by the
+// slot and overwritten when the slot is reused, so it never leaves the
+// shard lock uncopied. result.Boundary, by contrast, is never reused: a
+// reused slot gets the new result's own slice, because ShareBoundaries
+// callers may still alias the old one.
+type slot struct {
+	key  []byte
+	hash uint64
+	// chain is the next slot whose key has the same hash.
+	chain int32
+	// prev is the LRU neighbour toward head, next the one toward tail.
+	prev, next int32
+	impact     core.Impact
+	result     core.RadiusResult
 }
 
 // flight is one in-progress radius computation being shared by every
@@ -80,28 +114,20 @@ type cacheShard struct {
 // actually parks — the uncontended cold path (one caller, no waiters)
 // therefore never allocates or closes a channel. The leader's publish
 // reads done under the same lock, so it either sees the waiter's
-// channel (and closes it) or the waiter never saw the flight at all.
+// channel (and closes it) or the waiter never saw the flight at all —
+// and only in that second case is the flight reused for a later miss.
 type flight struct {
+	key  []byte
+	hash uint64
 	done chan struct{}
 	res  core.RadiusResult
 	err  error
 }
 
-// cacheEntry is one memoised radius. The impact reference keeps
-// pointer-keyed impacts alive so their addresses cannot be recycled into
-// a colliding key by the garbage collector. key retains the full byte key
-// for exact-equality eviction bookkeeping (the shard hash never decides
-// identity).
-type cacheEntry struct {
-	key    string
-	impact core.Impact
-	result core.RadiusResult
-}
-
-// keyBuf is a pooled key-construction buffer: the radius hot path builds
-// its byte key in one of these and returns it, so a cache hit allocates
-// nothing for the key (map lookups index with string(b), which Go
-// compiles without a copy).
+// keyBuf is a pooled key-construction buffer: every cache access builds
+// its byte key in one of these and returns it, so a lookup allocates
+// nothing for the key (the shard copies it into a slot or a flight only
+// when it has to keep it).
 type keyBuf struct{ b []byte }
 
 var keyPool = sync.Pool{New: func() any { return &keyBuf{b: make([]byte, 0, 256)} }}
@@ -133,12 +159,7 @@ func NewCacheSharded(capacity, shards int) *Cache {
 	perShard := (capacity + shards - 1) / shards
 	c := &Cache{shards: make([]*cacheShard, shards), mask: uint64(shards - 1)}
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			capacity: perShard,
-			order:    list.New(),
-			entries:  make(map[string]*list.Element, perShard),
-			inflight: make(map[string]*flight),
-		}
+		c.shards[i] = newShard(perShard)
 	}
 	return c
 }
@@ -193,9 +214,180 @@ func fnv1a(b []byte) uint64 {
 	return h
 }
 
-// shardFor routes a key to its shard.
-func (c *Cache) shardFor(b []byte) *cacheShard {
-	return c.shards[fnv1a(b)&c.mask]
+// shardFor routes a key, by its fnv1a hash, to its shard.
+func (c *Cache) shardFor(h uint64) *cacheShard {
+	return c.shards[h&c.mask]
+}
+
+// newShard returns an empty shard of the given capacity. The index is
+// sized for a full shard up front; the slot slab is not, so a cache that
+// never fills never pays for its whole capacity.
+func newShard(capacity int) *cacheShard {
+	return &cacheShard{
+		capacity: capacity,
+		index:    make(map[uint64]int32, capacity),
+		head:     none,
+		tail:     none,
+	}
+}
+
+// find returns the slot holding key b (hash h), or none.
+func (s *cacheShard) find(b []byte, h uint64) int32 {
+	i, ok := s.index[h]
+	if !ok {
+		return none
+	}
+	for ; i != none; i = s.slots[i].chain {
+		if bytes.Equal(s.slots[i].key, b) {
+			return i
+		}
+	}
+	return none
+}
+
+// insert stores res under key b (hash h) at the LRU front. An existing
+// entry keeps its slot: with replace its result is overwritten and it
+// moves to the front, otherwise it is left exactly as it was. A new
+// entry takes a fresh slot while the slab is below capacity and the
+// least recently used slot after that. This is the only insert: the
+// singleflight leader's publish, Put and Restore all go through it.
+func (s *cacheShard) insert(b []byte, h uint64, impact core.Impact, res core.RadiusResult, replace bool) {
+	if i := s.find(b, h); i != none {
+		if replace {
+			s.slots[i].result = res
+			s.touch(i)
+		}
+		return
+	}
+	var i int32
+	if len(s.slots) < s.capacity {
+		if len(s.slots) == cap(s.slots) {
+			grown := make([]slot, len(s.slots), min(max(2*cap(s.slots), 8), s.capacity))
+			copy(grown, s.slots)
+			s.slots = grown
+		}
+		i = int32(len(s.slots))
+		s.slots = s.slots[:i+1]
+	} else {
+		i = s.tail
+		s.unlink(i)
+		s.unindex(i)
+	}
+	sl := &s.slots[i]
+	sl.key = append(sl.key[:0], b...)
+	sl.hash = h
+	sl.impact = impact
+	sl.result = res
+	sl.chain = none
+	if j, ok := s.index[h]; ok {
+		sl.chain = j
+	}
+	s.index[h] = i
+	s.pushFront(i)
+}
+
+// unindex removes slot i from its hash chain.
+func (s *cacheShard) unindex(i int32) {
+	sl := &s.slots[i]
+	j := s.index[sl.hash]
+	if j == i {
+		if sl.chain == none {
+			delete(s.index, sl.hash)
+		} else {
+			s.index[sl.hash] = sl.chain
+		}
+		return
+	}
+	for s.slots[j].chain != i {
+		j = s.slots[j].chain
+	}
+	s.slots[j].chain = sl.chain
+}
+
+// touch moves slot i to the LRU front.
+func (s *cacheShard) touch(i int32) {
+	if s.head != i {
+		s.unlink(i)
+		s.pushFront(i)
+	}
+}
+
+// pushFront links an unlinked slot i in as the most recently used.
+func (s *cacheShard) pushFront(i int32) {
+	sl := &s.slots[i]
+	sl.prev, sl.next = none, s.head
+	if s.head != none {
+		s.slots[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
+}
+
+// unlink takes slot i out of the LRU list.
+func (s *cacheShard) unlink(i int32) {
+	sl := &s.slots[i]
+	if sl.prev != none {
+		s.slots[sl.prev].next = sl.next
+	} else {
+		s.head = sl.next
+	}
+	if sl.next != none {
+		s.slots[sl.next].prev = sl.prev
+	} else {
+		s.tail = sl.prev
+	}
+}
+
+// flightFor returns the solve in progress for key b (hash h), or nil.
+// The slice holds one flight per concurrent miss on the shard, so a
+// linear scan beats any index.
+func (s *cacheShard) flightFor(b []byte, h uint64) *flight {
+	for _, fl := range s.flights {
+		if fl.hash == h && bytes.Equal(fl.key, b) {
+			return fl
+		}
+	}
+	return nil
+}
+
+// takeOff registers a new flight for key b (hash h), reusing an idle
+// one — key buffer included — when there is one.
+func (s *cacheShard) takeOff(b []byte, h uint64) *flight {
+	var fl *flight
+	if n := len(s.idle); n > 0 {
+		fl = s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+	} else {
+		fl = &flight{}
+	}
+	fl.key = append(fl.key[:0], b...)
+	fl.hash = h
+	s.flights = append(s.flights, fl)
+	return fl
+}
+
+// land retires a published flight and returns its park channel. A
+// flight no waiter parked on (done == nil here, under the lock) can no
+// longer be reached by anyone, so it goes back to idle; one with
+// waiters is left to them, since they read res and err after the close.
+func (s *cacheShard) land(fl *flight) chan struct{} {
+	for k, g := range s.flights {
+		if g == fl {
+			last := len(s.flights) - 1
+			s.flights[k] = s.flights[last]
+			s.flights[last] = nil
+			s.flights = s.flights[:last]
+			break
+		}
+	}
+	done := fl.done
+	if done == nil {
+		fl.res, fl.err = core.RadiusResult{}, nil
+		s.idle = append(s.idle, fl)
+	}
+	return done
 }
 
 // lock acquires a shard's mutex, counting the acquisitions that had to
@@ -257,7 +449,7 @@ func (c *Cache) Stats() CacheStats {
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.DupSuppressed += s.dup
-		st.Size += s.order.Len()
+		st.Size += len(s.slots)
 		st.Capacity += s.capacity
 		s.mu.Unlock()
 	}
@@ -273,7 +465,7 @@ func (c *Cache) ShardSizes() []int {
 	out := make([]int, len(c.shards))
 	for i, s := range c.shards {
 		s.mu.Lock()
-		out[i] = s.order.Len()
+		out[i] = len(s.slots)
 		s.mu.Unlock()
 	}
 	return out
@@ -288,7 +480,7 @@ func (c *Cache) ShardSize(i int) int {
 	}
 	s := c.shards[i]
 	s.mu.Lock()
-	n := s.order.Len()
+	n := len(s.slots)
 	s.mu.Unlock()
 	return n
 }
@@ -328,44 +520,29 @@ func (c *Cache) radius(ctx context.Context, f core.Feature, p core.Perturbation,
 	if c == nil {
 		return core.ComputeRadius(f, p, opts)
 	}
-	kb := keyPool.Get().(*keyBuf)
-	b, ok := appendRadiusKey(kb.b[:0], f, p, opts.WithDefaults())
-	kb.b = b // keep the grown buffer when it goes back to the pool
+	k, ok := c.route(&f, &p, &opts)
 	if !ok {
-		keyPool.Put(kb)
 		return core.ComputeRadius(f, p, opts)
 	}
 	// Traces record cache traffic only on a fault branch — a failed get
 	// or a dropped put; hits and misses are counted on the request's
 	// RequestStats and surface on the system's solve stage span.
 	if err := faults.Inject(ctx, faults.CacheGet); err != nil {
-		keyPool.Put(kb)
+		k.release()
 		obs.StartSpan(ctx, "cache_get").End(err)
 		return core.RadiusResult{}, err
 	}
 
 	rs := requestStats(ctx)
-	s := c.shardFor(b)
-	c.lock(s)
-	if el, found := s.entries[string(b)]; found {
-		s.order.MoveToFront(el)
-		s.hits++
-		res := el.Value.(*cacheEntry).result
-		s.mu.Unlock()
-		keyPool.Put(kb)
+	if res, hit := c.get(k, f.Name, true, clone, true); hit {
 		if rs != nil {
 			rs.Hits.Add(1)
 		}
-		if clone {
-			res.Boundary = vecmath.Clone(res.Boundary)
-		}
-		// The key identifies the subproblem, not the feature's display
-		// name: re-stamp the caller's name so a hit is indistinguishable
-		// from a fresh core.ComputeRadius call.
-		res.Feature = f.Name
 		return res, nil
 	}
-	if fl, found := s.inflight[string(b)]; found {
+	// A miss: get left the shard locked and the key buffer held.
+	s := k.s
+	if fl := s.flightFor(k.kb.b, k.h); fl != nil {
 		// Another caller is already solving this key: park on its flight
 		// instead of duplicating the solve. The leader's verdict — result
 		// or failure — is shared verbatim. The park channel is created
@@ -377,7 +554,7 @@ func (c *Cache) radius(ctx context.Context, f core.Feature, p core.Perturbation,
 		done := fl.done
 		s.dup++
 		s.mu.Unlock()
-		keyPool.Put(kb)
+		k.release()
 		if rs != nil {
 			rs.Coalesced.Add(1)
 		}
@@ -401,18 +578,15 @@ func (c *Cache) radius(ctx context.Context, f core.Feature, p core.Perturbation,
 		res.Feature = f.Name
 		return res, nil
 	}
-	// Miss with no flight in progress: become the leader. The map key is
-	// materialised as a string exactly once, here — never on the hit path.
-	key := string(b)
-	keyPool.Put(kb)
-	fl := &flight{}
-	s.inflight[key] = fl
+	// Miss with no flight in progress: become the leader.
+	fl := s.takeOff(k.kb.b, k.h)
 	s.misses++
 	s.mu.Unlock()
+	k.release()
 	if rs != nil {
 		rs.Misses.Add(1)
 	}
-	return c.lead(ctx, s, key, fl, f, p, opts, clone)
+	return c.lead(ctx, s, fl, f, p, opts, clone)
 }
 
 // lead runs the computation a singleflight leader owes its waiters and
@@ -427,24 +601,18 @@ func (c *Cache) radius(ctx context.Context, f core.Feature, p core.Perturbation,
 // every first-touch miss a second lock round-trip (measured as part of
 // the BENCH_8 cold-path gap against the single-mutex baseline). res and
 // err are written before the lock is taken and the waiter channel is
-// read under it, so a waiter that parked sees both via the close.
-func (c *Cache) lead(ctx context.Context, s *cacheShard, key string, fl *flight, f core.Feature, p core.Perturbation, opts core.Options, clone bool) (core.RadiusResult, error) {
+// read under it, so a waiter that parked sees both via the close. The
+// flight may be reused as soon as the lock is released, so nothing here
+// reads it after publishing.
+func (c *Cache) lead(ctx context.Context, s *cacheShard, fl *flight, f core.Feature, p core.Perturbation, opts core.Options, clone bool) (core.RadiusResult, error) {
 	published := false
 	publish := func(res core.RadiusResult, err error, insert bool) {
 		fl.res, fl.err = res, err
 		c.lock(s)
 		if insert {
-			if _, found := s.entries[key]; !found {
-				s.entries[key] = s.order.PushFront(&cacheEntry{key: key, impact: f.Impact, result: res})
-				for s.order.Len() > s.capacity {
-					oldest := s.order.Back()
-					s.order.Remove(oldest)
-					delete(s.entries, oldest.Value.(*cacheEntry).key)
-				}
-			}
+			s.insert(fl.key, fl.hash, f.Impact, res, false)
 		}
-		delete(s.inflight, key)
-		done := fl.done
+		done := s.land(fl)
 		s.mu.Unlock()
 		published = true
 		if done != nil {
@@ -494,6 +662,80 @@ func (c *Cache) lead(ctx context.Context, s *cacheShard, key string, fl *flight,
 	return out, nil
 }
 
+// probe is one cache access's routed key: the pooled buffer holding the
+// key bytes, their fnv1a hash and the shard the hash selects.
+type probe struct {
+	kb *keyBuf
+	h  uint64
+	s  *cacheShard
+}
+
+// route builds the subproblem's key in a pooled buffer and routes it.
+// ok=false means the impact is uncacheable; the buffer is then already
+// back in the pool.
+func (c *Cache) route(f *core.Feature, p *core.Perturbation, opts *core.Options) (probe, bool) {
+	kb := keyPool.Get().(*keyBuf)
+	o := opts.WithDefaults()
+	b, ok := appendRadiusKey(kb.b[:0], f, p, &o)
+	kb.b = b // keep the grown buffer when it goes back to the pool
+	if !ok {
+		keyPool.Put(kb)
+		return probe{}, false
+	}
+	h := fnv1a(b)
+	return probe{kb: kb, h: h, s: c.shardFor(h)}, true
+}
+
+// release returns the probe's key buffer to the pool.
+func (k probe) release() { keyPool.Put(k.kb) }
+
+// get is the cache's one read path, shared by Radius, Lookup and the
+// kernel's counting read. A hit moves the entry to the LRU front, counts
+// it when count is set, clones the Boundary when clone is set (see
+// RadiusContextShared) and re-stamps the caller's feature name: the key
+// identifies the subproblem, not the feature's display name, so a hit is
+// indistinguishable from a fresh core.ComputeRadius call. A hit releases
+// the probe. On a miss with hold set, get returns with the shard still
+// locked and the probe still held, so the caller can join or start a
+// flight in the same critical section; a miss without hold releases both.
+func (c *Cache) get(k probe, name string, count, clone, hold bool) (core.RadiusResult, bool) {
+	s := k.s
+	c.lock(s)
+	i := s.find(k.kb.b, k.h)
+	if i == none {
+		if !hold {
+			s.mu.Unlock()
+			k.release()
+		}
+		return core.RadiusResult{}, false
+	}
+	s.touch(i)
+	if count {
+		s.hits++
+	}
+	res := s.slots[i].result
+	s.mu.Unlock()
+	k.release()
+	if clone {
+		res.Boundary = vecmath.Clone(res.Boundary)
+	}
+	res.Feature = name
+	return res, true
+}
+
+// read is a cache read that never starts a solve and never joins a
+// flight; count says whether a hit moves the hit counter.
+func (c *Cache) read(f core.Feature, p core.Perturbation, opts core.Options, count, clone bool) (core.RadiusResult, bool) {
+	if c == nil {
+		return core.RadiusResult{}, false
+	}
+	k, ok := c.route(&f, &p, &opts)
+	if !ok {
+		return core.RadiusResult{}, false
+	}
+	return c.get(k, f.Name, count, clone, false)
+}
+
 // Lookup returns the memoised radius for the subproblem, or ok=false when
 // it is absent or uncacheable. It never starts a solve, never joins a
 // flight, and no injection point fires — this is the degraded serving
@@ -503,44 +745,14 @@ func (c *Cache) lead(ctx context.Context, s *cacheShard, key string, fl *flight,
 // miss counter, so degraded serving does not distort the
 // cache-effectiveness statistics.
 func (c *Cache) Lookup(f core.Feature, p core.Perturbation, opts core.Options) (core.RadiusResult, bool) {
-	return c.lookup(f, p, opts, true)
+	return c.read(f, p, opts, false, true)
 }
 
 // LookupShared is Lookup without the defensive boundary clone; the
 // returned Boundary aliases cache-owned memory and must be treated as
 // read-only (see RadiusContextShared).
 func (c *Cache) LookupShared(f core.Feature, p core.Perturbation, opts core.Options) (core.RadiusResult, bool) {
-	return c.lookup(f, p, opts, false)
-}
-
-func (c *Cache) lookup(f core.Feature, p core.Perturbation, opts core.Options, clone bool) (core.RadiusResult, bool) {
-	if c == nil {
-		return core.RadiusResult{}, false
-	}
-	kb := keyPool.Get().(*keyBuf)
-	b, ok := appendRadiusKey(kb.b[:0], f, p, opts.WithDefaults())
-	kb.b = b
-	if !ok {
-		keyPool.Put(kb)
-		return core.RadiusResult{}, false
-	}
-	s := c.shardFor(b)
-	c.lock(s)
-	el, found := s.entries[string(b)]
-	if !found {
-		s.mu.Unlock()
-		keyPool.Put(kb)
-		return core.RadiusResult{}, false
-	}
-	s.order.MoveToFront(el)
-	res := el.Value.(*cacheEntry).result
-	s.mu.Unlock()
-	keyPool.Put(kb)
-	if clone {
-		res.Boundary = vecmath.Clone(res.Boundary)
-	}
-	res.Feature = f.Name
-	return res, true
+	return c.read(f, p, opts, false, false)
 }
 
 // kernelGet is the kernel path's counting cache read: like Lookup it
@@ -551,34 +763,7 @@ func (c *Cache) lookup(f core.Feature, p core.Perturbation, opts core.Options, c
 // affinity story read. clone governs the defensive Boundary copy (see
 // RadiusContextShared).
 func (c *Cache) kernelGet(f core.Feature, p core.Perturbation, opts core.Options, clone bool) (core.RadiusResult, bool) {
-	if c == nil {
-		return core.RadiusResult{}, false
-	}
-	kb := keyPool.Get().(*keyBuf)
-	b, ok := appendRadiusKey(kb.b[:0], f, p, opts.WithDefaults())
-	kb.b = b
-	if !ok {
-		keyPool.Put(kb)
-		return core.RadiusResult{}, false
-	}
-	s := c.shardFor(b)
-	c.lock(s)
-	el, found := s.entries[string(b)]
-	if !found {
-		s.mu.Unlock()
-		keyPool.Put(kb)
-		return core.RadiusResult{}, false
-	}
-	s.order.MoveToFront(el)
-	s.hits++
-	res := el.Value.(*cacheEntry).result
-	s.mu.Unlock()
-	keyPool.Put(kb)
-	if clone {
-		res.Boundary = vecmath.Clone(res.Boundary)
-	}
-	res.Feature = f.Name
-	return res, true
+	return c.read(f, p, opts, true, clone)
 }
 
 // Put inserts a radius the caller solved outside the cache's own miss
@@ -593,35 +778,23 @@ func (c *Cache) Put(f core.Feature, p core.Perturbation, opts core.Options, res 
 	if c == nil {
 		return
 	}
-	kb := keyPool.Get().(*keyBuf)
-	b, ok := appendRadiusKey(kb.b[:0], f, p, opts.WithDefaults())
-	kb.b = b
+	k, ok := c.route(&f, &p, &opts)
 	if !ok {
-		keyPool.Put(kb)
 		return
 	}
 	res.Boundary = vecmath.Clone(res.Boundary)
-	s := c.shardFor(b)
-	c.lock(s)
-	s.misses++
-	if _, found := s.entries[string(b)]; !found {
-		key := string(b)
-		s.entries[key] = s.order.PushFront(&cacheEntry{key: key, impact: f.Impact, result: res})
-		for s.order.Len() > s.capacity {
-			oldest := s.order.Back()
-			s.order.Remove(oldest)
-			delete(s.entries, oldest.Value.(*cacheEntry).key)
-		}
-	}
-	s.mu.Unlock()
-	keyPool.Put(kb)
+	c.lock(k.s)
+	k.s.misses++
+	k.s.insert(k.kb.b, k.h, f.Impact, res, false)
+	k.s.mu.Unlock()
+	k.release()
 }
 
 // appendRadiusKey appends the memoisation key of the subproblem to b,
 // reporting ok=false for impacts it cannot identify (non-pointer Impact
 // implementations other than LinearImpact). Callers pass a pooled buffer
 // so a cache hit constructs its key without allocating.
-func appendRadiusKey(b []byte, f core.Feature, p core.Perturbation, opts core.Options) ([]byte, bool) {
+func appendRadiusKey(b []byte, f *core.Feature, p *core.Perturbation, opts *core.Options) ([]byte, bool) {
 	switch imp := f.Impact.(type) {
 	case *core.LinearImpact:
 		b = append(b, 'L')

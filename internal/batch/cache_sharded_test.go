@@ -22,11 +22,11 @@ func TestShardRouting(t *testing.T) {
 	p := core.Perturbation{Name: "π", Orig: []float64{1, 2}}
 	opts := core.Options{}.WithDefaults()
 
-	key, ok := appendRadiusKey(nil, f, p, opts)
+	key, ok := appendRadiusKey(nil, &f, &p, &opts)
 	if !ok {
 		t.Fatal("linear impact must be cacheable")
 	}
-	want := c.shardFor(key)
+	want := c.shardFor(fnv1a(key))
 
 	// Many goroutines building the key independently must route identically.
 	var wg sync.WaitGroup
@@ -34,8 +34,8 @@ func TestShardRouting(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			k, ok := appendRadiusKey(nil, f, p, opts)
-			if !ok || c.shardFor(k) != want {
+			k, ok := appendRadiusKey(nil, &f, &p, &opts)
+			if !ok || c.shardFor(fnv1a(k)) != want {
 				t.Error("same key routed to a different shard")
 			}
 		}()

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,7 +57,7 @@ var ErrSnapshot = errors.New("batch: invalid cache snapshot")
 // snapshotEntry is one decoded cache record, held until the whole
 // snapshot has validated so Restore is all-or-nothing.
 type snapshotEntry struct {
-	key string
+	key []byte
 	res core.RadiusResult
 }
 
@@ -67,9 +68,10 @@ type snapshotEntry struct {
 // restore replays inserts in recency order and ends with the same LRU
 // ordering the writer had.
 //
-// The encoding happens outside the shard locks — only the entry
-// references are collected under them, which is sound because a cached
-// RadiusResult is immutable once published.
+// The encoding happens outside the shard locks. Under them each entry's
+// key is copied, because a slot's key buffer is reused by the next
+// eviction, and its result is taken by value, which is sound because a
+// cached RadiusResult (Boundary included) is immutable once published.
 func (c *Cache) Snapshot(w io.Writer) (int, error) {
 	if c == nil {
 		return 0, fmt.Errorf("batch: Snapshot on a nil cache")
@@ -77,12 +79,12 @@ func (c *Cache) Snapshot(w io.Writer) (int, error) {
 	var entries []snapshotEntry
 	for _, s := range c.shards {
 		c.lock(s)
-		for el := s.order.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*cacheEntry)
-			if len(e.key) == 0 || (e.key[0] != 'L' && e.key[0] != 'T') {
+		for i := s.tail; i != none; i = s.slots[i].prev {
+			sl := &s.slots[i]
+			if len(sl.key) == 0 || (sl.key[0] != 'L' && sl.key[0] != 'T') {
 				continue
 			}
-			entries = append(entries, snapshotEntry{key: e.key, res: e.result})
+			entries = append(entries, snapshotEntry{key: bytes.Clone(sl.key), res: sl.result})
 		}
 		s.mu.Unlock()
 	}
@@ -154,23 +156,15 @@ func RestoreCache(r io.Reader, capacity, shards int) (*Cache, int, error) {
 }
 
 // restoreEntry inserts one decoded record without touching the hit/miss
-// counters. The entry's impact reference stays nil, which is sound
-// because only value- and fingerprint-keyed records are ever persisted —
-// nothing pointer-identified needs pinning.
-func (c *Cache) restoreEntry(key string, res core.RadiusResult) {
-	s := c.shardFor([]byte(key))
+// counters; a record whose key is already cached replaces its result.
+// The entry's impact reference stays nil, which is sound because only
+// value- and fingerprint-keyed records are ever persisted — nothing
+// pointer-identified needs pinning.
+func (c *Cache) restoreEntry(key []byte, res core.RadiusResult) {
+	h := fnv1a(key)
+	s := c.shardFor(h)
 	c.lock(s)
-	if el, found := s.entries[key]; found {
-		el.Value.(*cacheEntry).result = res
-		s.order.MoveToFront(el)
-	} else {
-		s.entries[key] = s.order.PushFront(&cacheEntry{key: key, result: res})
-		for s.order.Len() > s.capacity {
-			oldest := s.order.Back()
-			s.order.Remove(oldest)
-			delete(s.entries, oldest.Value.(*cacheEntry).key)
-		}
-	}
+	s.insert(key, h, nil, res, true)
 	s.mu.Unlock()
 }
 
@@ -209,7 +203,7 @@ func decodeSnapshot(data []byte) ([]snapshotEntry, error) {
 	}
 	entries := make([]snapshotEntry, 0, n)
 	for i := uint64(0); i < n; i++ {
-		key := d.str(maxSnapshotKeyLen, "key")
+		key := d.blob(maxSnapshotKeyLen, "key")
 		feature := d.str(maxSnapshotStrLen, "feature name")
 		radius := math.Float64frombits(d.u64("radius"))
 		kind := d.bytes(1, "bound kind")
@@ -288,14 +282,20 @@ func (d *snapshotDecoder) u64(what string) uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (d *snapshotDecoder) str(max uint32, what string) string {
+// blob reads a length-prefixed byte string; the result aliases the
+// snapshot image.
+func (d *snapshotDecoder) blob(max uint32, what string) []byte {
 	n := d.u32(what + " length")
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > max {
 		d.err = fmt.Errorf("%w: %s length %d exceeds the %d cap", ErrSnapshot, what, n, max)
-		return ""
+		return nil
 	}
-	return string(d.bytes(int(n), what))
+	return d.bytes(int(n), what)
+}
+
+func (d *snapshotDecoder) str(max uint32, what string) string {
+	return string(d.blob(max, what))
 }
