@@ -104,7 +104,9 @@ endif
 # lookups and LRU order must agree after every operation), the peer
 # trace decoders (FuzzParseTraceHeader for X-Fepiad-Trace,
 # FuzzStitchSpans for the X-Fepiad-Spans export stitched into a trace),
-# and the federated metrics merge (FuzzRegistrySnapshotMerge: a peer's
+# the trace record stream against a reference model of per-span structs
+# (FuzzTraceRecords: every rendering must be the same JSON), and the
+# federated metrics merge (FuzzRegistrySnapshotMerge: a peer's
 # /v1/cluster/metrics document merged and rendered must never panic).
 fuzz:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/spec
@@ -115,6 +117,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/batch
 	$(GO) test -fuzz='^FuzzCacheModel$$' -fuzztime=30s ./internal/batch
 	$(GO) test -fuzz='^FuzzParseTraceHeader$$' -fuzztime=30s ./internal/obs
+	$(GO) test -fuzz='^FuzzTraceRecords$$' -fuzztime=30s ./internal/obs
 	$(GO) test -fuzz='^FuzzRegistrySnapshotMerge$$' -fuzztime=30s ./internal/obs
 	$(GO) test -fuzz='^FuzzStitchSpans$$' -fuzztime=30s ./internal/server
 

@@ -148,22 +148,40 @@ func main() {
 	// shared boundaries, which is what the server's ShareBoundaries
 	// option selects. The competing implementations run interleaved,
 	// rep by rep, so slow phases of a shared machine bias every series
-	// equally instead of whichever ran during the bad seconds.
-	oneShard := batch.NewCacheSharded(4**keys, 1)
-	for _, f := range features {
-		mustRadius(oneShard.Radius(f, p, opts))
+	// equally instead of whichever ran during the bad seconds. Each rep
+	// builds and warms its contender's cache outside the timed region
+	// and drops it afterwards, so only the cache under test is resident
+	// while it is timed: the baseline allocates per hit, and its GC work
+	// would otherwise scale with whatever other caches the heap holds.
+	// (The warm-hit caches above are not used past this point.)
+	warm := func(visit func(core.Feature)) {
+		for _, f := range features {
+			visit(f)
+		}
 	}
 	for w := 1; w <= maxWorkers; w++ {
 		w := w
 		rep.add(measureInterleaved("contended", w, *reps, w**iters, []contender{
-			{"baseline", func() {
-				hammer(w, *iters, features, func(f core.Feature) { mustRadius(base.radius(f, p, opts)) })
+			{impl: "baseline", setup: func() func() {
+				c := newBaselineCache(4 * *keys)
+				warm(func(f core.Feature) { mustRadius(c.radius(f, p, opts)) })
+				return func() {
+					hammer(w, *iters, features, func(f core.Feature) { mustRadius(c.radius(f, p, opts)) })
+				}
 			}},
-			{"sharded-1", func() {
-				hammer(w, *iters, features, func(f core.Feature) { mustRadius(oneShard.RadiusContextShared(ctx, f, p, opts)) })
+			{impl: "sharded-1", setup: func() func() {
+				c := batch.NewCacheSharded(4**keys, 1)
+				warm(func(f core.Feature) { mustRadius(c.Radius(f, p, opts)) })
+				return func() {
+					hammer(w, *iters, features, func(f core.Feature) { mustRadius(c.RadiusContextShared(ctx, f, p, opts)) })
+				}
 			}},
-			{"sharded", func() {
-				hammer(w, *iters, features, func(f core.Feature) { mustRadius(live.RadiusContextShared(ctx, f, p, opts)) })
+			{impl: "sharded", setup: func() func() {
+				c := batch.NewCacheSharded(4**keys, *shards)
+				warm(func(f core.Feature) { mustRadius(c.Radius(f, p, opts)) })
+				return func() {
+					hammer(w, *iters, features, func(f core.Feature) { mustRadius(c.RadiusContextShared(ctx, f, p, opts)) })
+				}
 			}},
 		})...)
 	}
@@ -192,14 +210,14 @@ func main() {
 	// operating-point sweeps, head-to-head with the scalar loop.
 	kOps := *sweeps * len(features)
 	rep.add(measureInterleaved("kernel_warm", 1, *reps, kOps, []contender{
-		{"perfeature", func() {
+		{impl: "perfeature", body: func() {
 			for s := 0; s < *sweeps; s++ {
 				for i, f := range features {
 					scalarOut[i] = mustRadiusResult(core.ComputeRadius(f, p, opts))
 				}
 			}
 		}},
-		{"kernel", func() {
+		{impl: "kernel", body: func() {
 			for s := 0; s < *sweeps; s++ {
 				if _, err := kb.Compute(p.Orig, kernelOut); err != nil {
 					fatal(err)
@@ -211,12 +229,12 @@ func main() {
 	// Cold: Pack from nothing plus a single sweep — what one engine
 	// request pays — against one scalar pass over the same features.
 	rep.add(measureInterleaved("kernel_cold", 1, *reps, len(features), []contender{
-		{"perfeature", func() {
+		{impl: "perfeature", body: func() {
 			for i, f := range features {
 				scalarOut[i] = mustRadiusResult(core.ComputeRadius(f, p, opts))
 			}
 		}},
-		{"kernel", func() {
+		{impl: "kernel", body: func() {
 			b, err := kernel.Pack(features, *dim, copts.Norm)
 			if err != nil {
 				fatal(err)
@@ -244,12 +262,12 @@ func main() {
 	rep.Summary.KernelMixedIdentical = math.Float64bits(aOn.Robustness) == math.Float64bits(aOff.Robustness) &&
 		resultsIdentical(aOn.Radii, aOff.Radii)
 	rep.add(measureInterleaved("mixed", 1, *reps, len(mixedFeatures), []contender{
-		{"perfeature", func() {
+		{impl: "perfeature", body: func() {
 			if _, err := batch.AnalyzeOneContext(context.Background(), mixedJob, batch.Options{Core: opts}); err != nil {
 				fatal(err)
 			}
 		}},
-		{"kernel", func() {
+		{impl: "kernel", body: func() {
 			if _, err := batch.AnalyzeOneContext(context.Background(), mixedJob, batch.Options{Core: opts, Kernel: true}); err != nil {
 				fatal(err)
 			}
@@ -491,7 +509,7 @@ func incrementalContenders(b *kernel.Batch, orig []float64, steps, k int) []cont
 	dirty := make([]int, k)
 	d := b.Delta()
 	return []contender{
-		{"full", func() {
+		{impl: "full", body: func() {
 			copy(fullPoint, orig)
 			for s := 0; s < steps; s++ {
 				move(fullPoint, s, nil)
@@ -500,7 +518,7 @@ func incrementalContenders(b *kernel.Batch, orig []float64, steps, k int) []cont
 				}
 			}
 		}},
-		{"delta", func() {
+		{impl: "delta", body: func() {
 			copy(deltaPrev, orig)
 			if _, err := d.Full(deltaPrev, deltaOut); err != nil {
 				fatal(err)
@@ -518,9 +536,12 @@ func incrementalContenders(b *kernel.Batch, orig []float64, steps, k int) []cont
 }
 
 // contender is one named competitor in an interleaved measurement.
+// When setup is set it runs before each rep, outside the timed region,
+// and returns that rep's body in place of body.
 type contender struct {
-	impl string
-	body func()
+	impl  string
+	body  func()
+	setup func() func()
 }
 
 // hammer runs w goroutines, each performing iters lookups over the
@@ -687,7 +708,7 @@ func measure(scenario, impl string, workers, reps, ops int, setup func() func())
 
 // measureInterleaved times several competing bodies round-robin — rep 1
 // of every contender, then rep 2, … — keeping each contender's fastest
-// rep. Head-to-head series produced this way share the machine's slow
+// rep. A contender's setup result lives for its own rep only. Head-to-head series produced this way share the machine's slow
 // and fast phases instead of each owning a different stretch of time.
 func measureInterleaved(scenario string, workers, reps, ops int, cs []contender) []series {
 	best := make([]float64, len(cs))
@@ -696,9 +717,13 @@ func measureInterleaved(scenario string, workers, reps, ops int, cs []contender)
 	}
 	for r := 0; r < reps; r++ {
 		for i, c := range cs {
+			body := c.body
+			if c.setup != nil {
+				body = c.setup()
+			}
 			runtime.GC()
 			start := time.Now()
-			c.body()
+			body()
 			if d := time.Since(start).Seconds(); d < best[i] {
 				best[i] = d
 			}

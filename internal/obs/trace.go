@@ -139,10 +139,11 @@ type TraceData struct {
 // for concurrent use — batch workers append spans to the same trace from
 // many goroutines.
 //
-// Spans are stored compactly: one fixed-layout record per finished span
-// and its attributes in a per-trace arena, with no map and no hex ID
-// until the trace is read. The span cap is enforced when a span is
-// opened, so a span past it costs nothing.
+// Spans are stored as one append-only byte stream of self-describing
+// records (the layout is documented at recLocal), with no map, no hex
+// ID and no pointer until the trace is read, so a retained trace's
+// spans are one block the garbage collector never scans. The span cap
+// is enforced when a span is opened, so a span past it costs nothing.
 type Trace struct {
 	id       string
 	endpoint string
@@ -156,10 +157,8 @@ type Trace struct {
 	started atomic.Int64
 
 	mu     sync.Mutex
-	spans  []spanRec  // finished spans, in the order they ended
-	attrs  []spanAttr // span attribute arena; spanRec.attrLo/attrHi index it
-	remote []SpanData // stitched peer spans, kept as received (start shifted)
-	tattrs []Label    // trace-level attributes, one per key
+	recs   []byte  // finished spans as encoded records, in the order they ended
+	tattrs []Label // trace-level attributes, one per key
 	sealed bool
 	// Set by Seal.
 	status  int
@@ -168,33 +167,120 @@ type Trace struct {
 	dropped int
 }
 
-// spanRec is one finished span. A stitched peer span is only a start
-// offset plus an index into Trace.remote.
-type spanRec struct {
-	name           string
-	err            string
-	id             uint64
-	startUS        int64
-	durUS          int64
-	retries        int32
-	attrLo, attrHi int32
-	remote         int32 // 1 + index into Trace.remote; 0 for a local span
+// Record kinds, the first byte of every record in Trace.recs. A record
+// is its kind byte, then start_us, duration_us and retries as zigzag
+// varints, then the kind's fields:
+//
+//	local:  uvarint span index (span ID = idBase + index), name, error, attributes
+//	remote: span ID, parent ID, name, error, attributes
+//
+// Strings are a uvarint length and the bytes. Attributes are a uvarint
+// byte length and that many bytes of entries: a key string, a value tag
+// and the value (a string, or a zigzag varint for attrInt).
+const (
+	recLocal  byte = 1 // a span recorded on this node
+	recRemote byte = 2 // a span stitched from a peer's export
+)
+
+// Attribute value tags, the byte after an attribute's key.
+const (
+	attrStr byte = 0 // length-prefixed string
+	attrInt byte = 1 // zigzag varint, rendered in decimal when read
+)
+
+// appendHead encodes the fields every record starts with.
+func appendHead(b []byte, kind byte, startUS, durUS, retries int64) []byte {
+	b = append(b, kind)
+	b = binary.AppendVarint(b, startUS)
+	b = binary.AppendVarint(b, durUS)
+	return binary.AppendVarint(b, retries)
 }
 
-// spanAttr is one span attribute: a string, or an integer rendered only
-// when the trace is read.
-type spanAttr struct {
-	key   string
-	str   string
-	num   int64
-	isInt bool
+// appendStr encodes one length-prefixed string.
+func appendStr[S ~string | ~[]byte](b []byte, s S) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
-func (a *spanAttr) value() string {
-	if a.isInt {
-		return strconv.FormatInt(a.num, 10)
+// recReader decodes the stream. The stream is written only by this
+// file, so a malformed record is a bug, and the reader does not check.
+type recReader struct {
+	b   []byte
+	off int
+	// s, when set, holds b's bytes as a string; str then returns
+	// substrings of it, so rendering a record allocates its strings once.
+	s string
+}
+
+func (r *recReader) byte() byte {
+	c := r.b[r.off]
+	r.off++
+	return c
+}
+
+func (r *recReader) varint() int64 {
+	v, n := binary.Varint(r.b[r.off:])
+	r.off += n
+	return v
+}
+
+func (r *recReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b[r.off:])
+	r.off += n
+	return v
+}
+
+func (r *recReader) bytes() []byte {
+	n := int(r.uvarint())
+	s := r.b[r.off : r.off+n : r.off+n]
+	r.off += n
+	return s
+}
+
+func (r *recReader) str() string {
+	b := r.bytes()
+	if r.s != "" {
+		return r.s[r.off-len(b) : r.off]
 	}
-	return a.str
+	return string(b)
+}
+
+// head decodes the fields every record starts with.
+func (r *recReader) head() (kind byte, startUS, durUS, retries int64) {
+	kind = r.byte()
+	startUS, durUS, retries = r.varint(), r.varint(), r.varint()
+	return kind, startUS, durUS, retries
+}
+
+// skipBody steps over the fields after the head of a kind's record.
+func (r *recReader) skipBody(kind byte) {
+	strs := 3 // name, error, attributes
+	if kind == recLocal {
+		r.uvarint()
+	} else {
+		strs += 2 // span ID, parent ID
+	}
+	for i := 0; i < strs; i++ {
+		r.bytes()
+	}
+}
+
+// attrs decodes an attributes field into a map, nil when it is empty.
+func (r *recReader) attrs() map[string]string {
+	n := int(r.uvarint())
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]string)
+	for end := r.off + n; r.off < end; {
+		k := r.str()
+		if r.byte() == attrInt {
+			m[k] = strconv.FormatInt(r.varint(), 10)
+		} else {
+			m[k] = r.str()
+		}
+	}
+	return m
 }
 
 // NewTrace starts a trace for one request. id is the request ID
@@ -301,13 +387,22 @@ func (t *Trace) Stitch(spans []SpanData, offsetUS int64) {
 	if t.sealed {
 		return
 	}
-	for _, sd := range spans {
+	var attrs []byte
+	for i := range spans {
 		if t.started.Add(1) > maxSpansPerTrace {
 			continue
 		}
-		sd.StartUS += offsetUS
-		t.remote = append(t.remote, sd)
-		t.spans = append(t.spans, spanRec{startUS: sd.StartUS, remote: int32(len(t.remote))})
+		sd := &spans[i]
+		attrs = attrs[:0]
+		for k, v := range sd.Attrs {
+			attrs = appendStr(append(appendStr(attrs, k), attrStr), v)
+		}
+		b := appendHead(t.recs, recRemote, sd.StartUS+offsetUS, sd.DurationUS, int64(sd.Retries))
+		b = appendStr(b, sd.SpanID)
+		b = appendStr(b, sd.ParentID)
+		b = appendStr(b, sd.Name)
+		b = appendStr(b, sd.Error)
+		t.recs = appendStr(b, attrs)
 	}
 }
 
@@ -337,7 +432,8 @@ func (t *Trace) ExportSpans(node string, limit int) []SpanData {
 }
 
 // Seal closes the trace with the response status without rendering it:
-// the compact records stay as they are until a reader asks for the
+// the record stream is cut to its exact length, so a retained trace
+// carries no append slack, and stays encoded until a reader asks for the
 // document. slow marks a slow-threshold capture (TraceData.Slow). Spans
 // that end or are stitched after Seal are ignored, and the first Seal
 // wins.
@@ -353,6 +449,9 @@ func (t *Trace) Seal(status int, slow bool) {
 	if over := t.started.Load() - maxSpansPerTrace; over > 0 {
 		t.dropped = int(over)
 	}
+	if cap(t.recs) > len(t.recs) {
+		t.recs = append([]byte(nil), t.recs...)
+	}
 }
 
 // Finish seals the trace with the response status and returns the
@@ -363,7 +462,7 @@ func (t *Trace) Finish(status int) TraceData {
 	return t.data()
 }
 
-// data renders the trace document from the compact records.
+// data renders the trace document from the record stream.
 func (t *Trace) data() TraceData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -391,43 +490,50 @@ func (t *Trace) data() TraceData {
 
 // appendSpansLocked renders up to limit spans (<0: all) onto dst in
 // start order; spans that start in the same microsecond keep the order
-// they ended in. The records are sorted in place: a stable sort of an
-// already sorted prefix plus later appends yields the same order as
-// sorting the insertion order once. Call with t.mu held.
+// they ended in. Call with t.mu held.
 func (t *Trace) appendSpansLocked(dst []SpanData, limit int) []SpanData {
-	slices.SortStableFunc(t.spans, func(a, b spanRec) int { return cmp.Compare(a.startUS, b.startUS) })
-	recs := t.spans
-	if limit >= 0 && len(recs) > limit {
-		recs = recs[:limit]
+	type at struct {
+		startUS  int64
+		off, end int
 	}
-	if len(recs) == 0 {
+	var order []at
+	for r := (recReader{b: t.recs}); r.off < len(r.b); {
+		off := r.off
+		kind, startUS, _, _ := r.head()
+		r.skipBody(kind)
+		order = append(order, at{startUS, off, r.off})
+	}
+	slices.SortStableFunc(order, func(a, b at) int { return cmp.Compare(a.startUS, b.startUS) })
+	if limit >= 0 && len(order) > limit {
+		order = order[:limit]
+	}
+	if len(order) == 0 {
 		return dst
 	}
-	dst = slices.Grow(dst, len(recs))
-	for i := range recs {
-		r := &recs[i]
-		if r.remote > 0 {
-			dst = append(dst, t.remote[r.remote-1])
-			continue
-		}
-		sd := SpanData{
-			Name:       r.name,
-			SpanID:     spanIDString(r.id),
-			ParentID:   t.rootID,
-			StartUS:    r.startUS,
-			DurationUS: r.durUS,
-			Error:      r.err,
-			Retries:    int(r.retries),
-		}
-		if r.attrHi > r.attrLo {
-			sd.Attrs = make(map[string]string, r.attrHi-r.attrLo)
-			for j := r.attrLo; j < r.attrHi; j++ {
-				sd.Attrs[t.attrs[j].key] = t.attrs[j].value()
-			}
-		}
-		dst = append(dst, sd)
+	dst = slices.Grow(dst, len(order))
+	for _, o := range order {
+		dst = append(dst, t.render(t.recs[o.off:o.end]))
 	}
 	return dst
+}
+
+// render builds the SpanData of one record. Its strings share one
+// allocation, a copy of the record.
+func (t *Trace) render(rec []byte) SpanData {
+	r := recReader{b: rec, s: string(rec)}
+	kind, startUS, durUS, retries := r.head()
+	sd := SpanData{StartUS: startUS, DurationUS: durUS, Retries: int(retries)}
+	if kind == recLocal {
+		sd.SpanID = spanIDString(t.idBase + r.uvarint())
+		sd.ParentID = t.rootID
+	} else {
+		sd.SpanID = r.str()
+		sd.ParentID = r.str()
+	}
+	sd.Name = r.str()
+	sd.Error = r.str()
+	sd.Attrs = r.attrs()
+	return sd
 }
 
 // traceKey carries the context's trace.
@@ -455,11 +561,13 @@ func TraceFrom(ctx context.Context) *Trace {
 type Span struct {
 	trace   *Trace
 	name    string
-	id      uint64
-	startNS int64 // offset from the trace start, monotonic
+	index   uint64 // place in start order; the span ID is trace.idBase + index
+	startNS int64  // offset from the trace start, monotonic
 	retries int
-	attrs   []spanAttr // backed by inline until a third key
-	inline  [2]spanAttr
+	attrs   []byte // encoded attribute entries, backed by inline until they outgrow it
+	// inline fills the Span to its 176-byte size class: room for a solve
+	// span's seven attributes.
+	inline [104]byte
 }
 
 // StartSpan opens a span named after a pipeline stage (parse, breaker,
@@ -504,7 +612,7 @@ func (t *Trace) StartSpanAt(name string, startNS int64) *Span {
 	if n > maxSpansPerTrace {
 		return nil
 	}
-	s := &Span{trace: t, name: name, id: t.idBase + uint64(n), startNS: startNS}
+	s := &Span{trace: t, name: name, index: uint64(n), startNS: startNS}
 	s.attrs = s.inline[:0]
 	return s
 }
@@ -516,7 +624,7 @@ func (s *Span) ID() string {
 	if s == nil {
 		return ""
 	}
-	return spanIDString(s.id)
+	return spanIDString(s.trace.idBase + s.index)
 }
 
 // StartOffsetUS returns the span's start offset on its trace's
@@ -533,7 +641,8 @@ func (s *Span) StartOffsetUS() int64 {
 // last write of a key wins.
 func (s *Span) Set(key, value string) *Span {
 	if s != nil {
-		s.put(spanAttr{key: key, str: value})
+		s.drop(key)
+		s.attrs = appendStr(append(appendStr(s.attrs, key), attrStr), value)
 	}
 	return s
 }
@@ -543,19 +652,27 @@ func (s *Span) Set(key, value string) *Span {
 // keys: the last write of a key wins whichever of the two made it.
 func (s *Span) SetInt(key string, v int) *Span {
 	if s != nil {
-		s.put(spanAttr{key: key, num: int64(v), isInt: true})
+		s.drop(key)
+		s.attrs = binary.AppendVarint(append(appendStr(s.attrs, key), attrInt), int64(v))
 	}
 	return s
 }
 
-func (s *Span) put(a spanAttr) {
-	for i := range s.attrs {
-		if s.attrs[i].key == a.key {
-			s.attrs[i] = a
+// drop removes key's entry, if any, from the span's attributes.
+func (s *Span) drop(key string) {
+	for r := (recReader{b: s.attrs}); r.off < len(r.b); {
+		off := r.off
+		k := r.bytes()
+		if r.byte() == attrInt {
+			r.varint()
+		} else {
+			r.bytes()
+		}
+		if string(k) == key {
+			s.attrs = append(s.attrs[:off], s.attrs[r.off:]...)
 			return
 		}
 	}
-	s.attrs = append(s.attrs, a)
 }
 
 // AddRetries adds n to the span's retry-attempt count (solve_feature
@@ -574,30 +691,33 @@ func (s *Span) End(err error) {
 	}
 	t := s.trace
 	endNS := int64(time.Since(t.start))
-	r := spanRec{
-		name:    s.name,
-		id:      s.id,
-		startUS: s.startNS / int64(time.Microsecond),
-		durUS:   (endNS - s.startNS) / int64(time.Microsecond),
-		retries: int32(s.retries),
-	}
+	var msg string
 	if err != nil {
-		r.err = err.Error()
+		msg = err.Error()
 	}
 	t.mu.Lock()
 	if !t.sealed {
-		r.attrLo = int32(len(t.attrs))
-		t.attrs = append(t.attrs, s.attrs...)
-		r.attrHi = int32(len(t.attrs))
-		t.spans = append(t.spans, r)
+		t.recs = s.appendLocal(t.recs, endNS, msg)
 	}
 	t.mu.Unlock()
+}
+
+// appendLocal encodes the span, ended at endNS with error msg, as a
+// local record. Retries are recorded as an int32, which FuzzTraceRecords
+// checks against the reference store.
+func (s *Span) appendLocal(b []byte, endNS int64, msg string) []byte {
+	const us = int64(time.Microsecond)
+	b = appendHead(b, recLocal, s.startNS/us, (endNS-s.startNS)/us, int64(int32(s.retries)))
+	b = binary.AppendUvarint(b, s.index)
+	b = appendStr(b, s.name)
+	b = appendStr(b, msg)
+	return appendStr(b, s.attrs)
 }
 
 // TraceRing retains sealed traces two ways: a ring of the most recent
 // N, and the slowest N seen since the process started — the requests a
 // post-mortem actually wants. Both lists are bounded, so memory is fixed
-// no matter the traffic. Traces are kept in their compact form and
+// no matter the traffic. Traces are kept as their record streams and
 // rendered only by Snapshot. Safe for concurrent use; Add takes one
 // short lock per finished request, never on the request hot path.
 //
@@ -663,6 +783,32 @@ func (r *TraceRing) Add(t *Trace, skipSlowest bool) {
 		copy(r.slowest[i+1:], r.slowest[i:])
 		r.slowest[i] = t
 	}
+}
+
+// RetainedBytes sums the record-stream lengths of the retained traces
+// (fepiad_trace_retained_bytes). A trace held in both the recent ring and
+// the slowest list counts once.
+func (r *TraceRing) RetainedBytes() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	slow := make(map[*Trace]bool, len(r.slowest))
+	for _, t := range r.slowest {
+		slow[t] = true
+		n += t.streamLen()
+	}
+	for _, t := range r.recent {
+		if t != nil && !slow[t] {
+			n += t.streamLen()
+		}
+	}
+	return n
+}
+
+func (t *Trace) streamLen() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.recs)
 }
 
 // RingSnapshot is the /debug/traces document.

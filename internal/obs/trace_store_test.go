@@ -10,7 +10,7 @@ import (
 )
 
 // TestTraceDocumentGolden pins the rendered trace document: a trace
-// recorded through the compact span store marshals to exactly the JSON
+// recorded through the record stream marshals to exactly the JSON
 // of a hand-built TraceData. It covers Set overwrite, SetInt (and Set
 // and SetInt sharing keys), an error, retries, stitched remote spans,
 // trace-level attribute overwrite, and ties on equal start_us, which
@@ -49,11 +49,7 @@ func TestTraceDocumentGolden(t *testing.T) {
 	// solve, forward, the two stitched spans, encode.
 	tr.start = time.Date(2026, 1, 2, 3, 4, 5, 6000, time.UTC)
 	tr.durUS = 100
-	for i, at := range [][2]int64{{0, 5}, {10, 3}, {10, 20}, {35, 50}, {}, {}, {90, 8}} {
-		if tr.spans[i].remote == 0 {
-			tr.spans[i].startUS, tr.spans[i].durUS = at[0], at[1]
-		}
-	}
+	pinClock(tr, [][2]int64{{0, 5}, {10, 3}, {10, 20}, {35, 50}, {}, {}, {90, 8}})
 
 	root := "0000000000001000"
 	want := TraceData{
@@ -89,6 +85,23 @@ func TestTraceDocumentGolden(t *testing.T) {
 		t.Fatalf("export head wrong: %+v", exp)
 	}
 	assertSameJSON(t, exp[1:], want.Spans[:2])
+}
+
+// pinClock rewrites the start and duration of each local record, in
+// End order, with at[i]; stitched records keep theirs.
+func pinClock(tr *Trace, at [][2]int64) {
+	var out []byte
+	r := recReader{b: tr.recs}
+	for i := 0; r.off < len(r.b); i++ {
+		kind, startUS, durUS, retries := r.head()
+		if kind == recLocal {
+			startUS, durUS = at[i][0], at[i][1]
+		}
+		body := r.off
+		r.skipBody(kind)
+		out = append(appendHead(out, kind, startUS, durUS, retries), r.b[body:r.off]...)
+	}
+	tr.recs = out
 }
 
 func assertSameJSON(t *testing.T, got, want any) {
@@ -129,13 +142,12 @@ func TestTraceSealFreezes(t *testing.T) {
 
 // TestSpanAllocs: a span past the cap costs no allocation at all, and
 // Set, SetInt and End on a span within the cap allocate nothing once the
-// trace's record and attribute arenas have room — no per-span map.
+// trace's record stream has room — no per-span map.
 // StartSpan itself allocates exactly the span.
 func TestSpanAllocs(t *testing.T) {
 	tr := NewTrace("req-allocs", "batch")
 	ctx := WithTrace(context.Background(), tr)
-	tr.spans = make([]spanRec, 0, maxSpansPerTrace)
-	tr.attrs = make([]spanAttr, 0, 2*maxSpansPerTrace)
+	tr.recs = make([]byte, 0, 64*maxSpansPerTrace)
 
 	const runs = 100
 	spans := make([]*Span, runs+1) // AllocsPerRun adds one warm-up run
@@ -169,6 +181,82 @@ func TestSpanAllocs(t *testing.T) {
 	}
 	if td := tr.Finish(200); len(td.Spans) != maxSpansPerTrace || td.SpansDropped != runs+1 {
 		t.Fatalf("spans %d dropped %d, want %d / %d", len(td.Spans), td.SpansDropped, maxSpansPerTrace, runs+1)
+	}
+}
+
+// watchShapedTrace records what a 64-step /v1/watch session of 8 linear
+// features leaves on its trace: parse, admit, and per step a watch_step
+// span and a solve span with the stage's seven counts.
+func watchShapedTrace() *Trace {
+	tr := NewTrace("req-watch", "watch")
+	ctx := WithTrace(context.Background(), tr)
+	StartSpan(ctx, "parse").End(nil)
+	StartSpan(ctx, "admit").End(nil)
+	for i := 0; i < 64; i++ {
+		step := StartSpan(ctx, "watch_step").SetInt("step", i+1)
+		StartSpan(ctx, "solve").SetInt("features", 8).SetInt("hits", 0).SetInt("misses", 8).
+			SetInt("coalesced", 0).SetInt("retries", 0).Set("slowest", "phi3").SetInt("slowest_us", 12).End(nil)
+		step.SetInt("changed", 8).End(nil)
+	}
+	tr.SetAttr("watch_points", "64")
+	tr.Seal(200, false)
+	return tr
+}
+
+// TestTraceRetainedBudget pins what a sealed watch-shaped trace keeps:
+// at most 10 KiB of record stream, with no append slack past the
+// allocator's size class.
+func TestTraceRetainedBudget(t *testing.T) {
+	tr := watchShapedTrace()
+	if got := cap(tr.recs); got > 10<<10 {
+		t.Fatalf("sealed 64-step watch trace retains %d B, want ≤ %d", got, 10<<10)
+	}
+	t.Logf("sealed 64-step watch trace: %d B stream, %d B capacity", len(tr.recs), cap(tr.recs))
+	td := tr.data()
+	steps := 0
+	for _, sd := range td.Spans {
+		if sd.Name == "watch_step" && sd.Attrs["changed"] == "8" {
+			steps++
+		}
+	}
+	if len(td.Spans) != 130 || td.Spans[0].Name != "parse" || steps != 64 {
+		t.Fatalf("watch trace renders %d spans, %d complete watch_step spans, first %+v", len(td.Spans), steps, td.Spans[0])
+	}
+}
+
+// TestTraceRingRetainedBytes: the ring sums the stream lengths of the
+// traces it holds, counts a trace in both lists once, and forgets a
+// trace both lists have evicted.
+func TestTraceRingRetainedBytes(t *testing.T) {
+	r := NewTraceRing(2)
+	if r.RetainedBytes() != 0 {
+		t.Fatal("empty ring retains bytes")
+	}
+	mk := func(durUS int64) *Trace {
+		tr := watchShapedTrace()
+		tr.durUS = durUS
+		return tr
+	}
+	a, b, c, d, e := mk(300), mk(200), mk(100), mk(50), mk(40)
+	size := func(ts ...*Trace) (n int) {
+		for _, tr := range ts {
+			n += len(tr.recs)
+		}
+		return n
+	}
+	r.Add(a, false)
+	r.Add(b, true) // recent only
+	if got, want := r.RetainedBytes(), size(a, b); got != want {
+		t.Fatalf("a in both lists and b in recent: %d B, want %d", got, want)
+	}
+	r.Add(c, false) // evicts a from recent; a stays slowest
+	if got, want := r.RetainedBytes(), size(a, b, c); got != want {
+		t.Fatalf("a slowest, b and c recent: %d B, want %d", got, want)
+	}
+	r.Add(d, true) // evicts b
+	r.Add(e, true) // evicts c from recent; c stays slowest
+	if got, want := r.RetainedBytes(), size(a, c, d, e); got != want {
+		t.Fatalf("a and c slowest, d and e recent: %d B, want %d", got, want)
 	}
 }
 

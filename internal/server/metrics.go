@@ -143,6 +143,10 @@ func newTelemetry(s *Server) telemetry {
 		Availability: s.cfg.SLOAvailability,
 	}, nil)
 	t.traces.SetSample(s.cfg.TraceSample)
+	traces := t.traces
+	reg.GaugeFunc("fepiad_trace_retained_bytes",
+		"Record-stream bytes of the traces /debug/traces retains; a trace in both the recent and the slowest list counts once.",
+		func() float64 { return float64(traces.RetainedBytes()) })
 	start := time.Now()
 	reg.GaugeFunc("fepiad_uptime_seconds", "Seconds since the server was built.",
 		func() float64 { return time.Since(start).Seconds() })

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -302,6 +303,36 @@ func TestWatchMetrics(t *testing.T) {
 		vars.Sum("fepiad_watch_changed_radii_total")}
 	if wv != [3]float64{1, 2, float64(summary.TotalChanged)} {
 		t.Fatalf("fepiad_watch_* on /debug/vars = %v, want [1 2 %d]", wv, summary.TotalChanged)
+	}
+}
+
+// TestTraceRetainedBytesGauge: after N watch_linear-shaped sessions,
+// fepiad_trace_retained_bytes reads the same on /metrics and in the
+// /debug/vars snapshot, and sits between 4 and 10 KiB per session: each
+// session's trace is in both the recent and the slowest list, so
+// counting it twice would read about 16 KiB per session.
+func TestTraceRetainedBytesGauge(t *testing.T) {
+	ts := httptest.NewServer(New(quietConfig(Config{})).Handler())
+	defer ts.Close()
+	if got := scrape(t, ts.URL)["fepiad_trace_retained_bytes"]; got != 0 {
+		t.Fatalf("fepiad_trace_retained_bytes before any request = %v, want 0", got)
+	}
+	rng := rand.New(rand.NewSource(3))
+	sys := linearShapeFile(rng, "watch-gauge", watchShapeDim, watchShapeFeatures)
+	const sessions = 3
+	for i := 0; i < sessions; i++ {
+		body := string(mustMarshal(t, watchShapeRequest(rng, sys, watchShapeSteps)))
+		if resp, data := postJSON(t, ts.URL+"/v1/watch", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("session %d: status %d: %s", i, resp.StatusCode, data)
+		}
+	}
+	got := scrape(t, ts.URL)["fepiad_trace_retained_bytes"]
+	if got < sessions*4<<10 || got > sessions*10<<10 {
+		t.Fatalf("fepiad_trace_retained_bytes after %d sessions = %v, want %d..%d",
+			sessions, got, sessions*4<<10, sessions*10<<10)
+	}
+	if v := getVars(t, ts.URL).Sum("fepiad_trace_retained_bytes"); v != got {
+		t.Fatalf("/debug/vars fepiad_trace_retained_bytes = %v, /metrics %v", v, got)
 	}
 }
 

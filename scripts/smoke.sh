@@ -3,8 +3,9 @@
 # and verify the observability surfaces answer: /healthz, /metrics
 # (Prometheus text exposition), /debug/vars (the registry snapshot), and
 # /debug/traces with the request's spans — then stream a short /v1/watch
-# session and verify the incremental frames and the fepiad_watch_*
-# counters on both metric surfaces. Then boot a 2-node consistent-hash ring and verify
+# session and verify the incremental frames, the fepiad_watch_*
+# counters and the fepiad_trace_retained_bytes gauge on both metric
+# surfaces. Then boot a 2-node consistent-hash ring and verify
 # cluster serving: /v1/ring membership, owner forwarding with the
 # X-Fepiad-Forwarded / X-Fepiad-Node headers, the response meta block
 # (docs/CLUSTER.md), cross-node trace stitching on the ingress
@@ -164,11 +165,20 @@ for series in \
         exit 1
     }
 done
-curl -fsS "$BASE/debug/vars" >"$TMP/vars-watch.json"
-grep -qF '"name":"fepiad_watch_steps_total"' "$TMP/vars-watch.json" || {
-    echo "smoke: /debug/vars missing fepiad_watch_steps_total after watch session" >&2
+# The retained traces (the analysis and the watch session) hold a
+# non-empty record stream, gauged on both surfaces.
+grep -qE '^fepiad_trace_retained_bytes [1-9]' "$TMP/metrics-watch.txt" || {
+    echo "smoke: /metrics fepiad_trace_retained_bytes missing or zero after two traced requests" >&2
+    grep -F 'fepiad_trace_retained_bytes' "$TMP/metrics-watch.txt" >&2 || true
     exit 1
 }
+curl -fsS "$BASE/debug/vars" >"$TMP/vars-watch.json"
+for key in '"name":"fepiad_watch_steps_total"' '"name":"fepiad_trace_retained_bytes"'; do
+    grep -qF "$key" "$TMP/vars-watch.json" || {
+        echo "smoke: /debug/vars missing $key after watch session" >&2
+        exit 1
+    }
+done
 
 echo "smoke: graceful shutdown"
 kill -TERM "$SERVER_PID"
