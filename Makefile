@@ -101,7 +101,9 @@ endif
 # encoder (FuzzAppendResult: byte-identical to json.Encoder), the
 # retryable-error classifier, the cache-snapshot decoder, the radius
 # cache against a reference model of its shard (FuzzCacheModel: counts,
-# lookups and LRU order must agree after every operation), the peer
+# lookups, LRU order and footprint gauges must agree after every
+# operation, and exactly the pointer-keyed entries may pin their
+# impact), the peer
 # trace decoders (FuzzParseTraceHeader for X-Fepiad-Trace,
 # FuzzStitchSpans for the X-Fepiad-Spans export stitched into a trace),
 # the trace record stream against a reference model of per-span structs

@@ -56,7 +56,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "analysis workers per batch request (0 = GOMAXPROCS)")
 		cacheCap    = flag.Int("cache", 0, "shared radius-cache capacity in entries (0 = default)")
 		cacheShards = flag.Int("cache-shards", 0, "radius-cache shard count, rounded up to a power of two (0 = derived from GOMAXPROCS)")
-		useKernel   = flag.Bool("kernel", false, "route linear features through the vectorized SoA analytic kernel (bit-identical results, shared radius cache on both paths)")
+		useKernel   = flag.Bool("kernel", false, "route linear features through the vectorized SoA analytic kernel (bit-identical results; analyze and batch share the radius cache with the per-feature path, /v1/watch kernel steps bypass it)")
 		maxBody     = flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body in bytes")
 		timeout     = flag.Duration("timeout", server.DefaultTimeout, "per-request analysis deadline")
 		maxInFlight = flag.Int("max-inflight", server.DefaultMaxInFlight, "admitted concurrent requests before shedding with 503")

@@ -30,10 +30,13 @@ const maxShards = 256
 // complete subproblem of Eq. 1: the impact function, the bounds
 // ⟨β^min, β^max⟩, the operating point π^orig, and the analysis options
 // (norm plus solver/anneal budgets). Affine impacts are keyed by value
-// (coefficients and offset), so structurally identical hyperplanes hit
-// across distinct mappings; all other impacts are keyed by pointer
-// identity, which is sound because the cached entry pins the impact and
-// its result cannot go stale while the entry lives.
+// (coefficients and offset) and fingerprinted convex impacts by their
+// fingerprint, so structurally identical features hit across distinct
+// requests and mappings; all other impacts are keyed by pointer
+// identity. Only such a pointer-keyed entry pins its impact, which is
+// sound because an address cannot be recycled into a colliding key while
+// the entry lives. A value-keyed entry holds just its key and its
+// answer: the request-built impact it was solved from is free to go.
 //
 // Scaling: the cache is split into a power-of-two number of shards, each
 // its own mutex + slab of entry slots, selected by a 64-bit FNV-1a hash
@@ -87,11 +90,17 @@ type cacheShard struct {
 	hits    uint64
 	misses  uint64
 	dup     uint64
+	// pinned counts the resident slots holding an impact pin and
+	// retained the key plus boundary bytes of every resident slot.
+	pinned   int
+	retained int
 }
 
-// slot is one memoised radius. The impact reference keeps pointer-keyed
-// impacts alive so their addresses cannot be recycled into a colliding
-// key by the garbage collector. key is the full byte key, owned by the
+// slot is one memoised radius. impact is set only for a pointer-keyed
+// ('P') entry: it keeps the impact alive so its address cannot be
+// recycled into a colliding key by the garbage collector. A value-keyed
+// ('L' or 'T') entry leaves it nil, since its key already names the
+// impact by value. key is the full byte key, owned by the
 // slot and overwritten when the slot is reused, so it never leaves the
 // shard lock uncopied. result.Boundary, by contrast, is never reused: a
 // reused slot gets the new result's own slice, because ShareBoundaries
@@ -250,11 +259,14 @@ func (s *cacheShard) find(b []byte, h uint64) int32 {
 // moves to the front, otherwise it is left exactly as it was. A new
 // entry takes a fresh slot while the slab is below capacity and the
 // least recently used slot after that. This is the only insert: the
-// singleflight leader's publish, Put and Restore all go through it.
+// singleflight leader's publish, Put and Restore all go through it, and
+// it keeps impact only when the key is pointer-keyed (see pins).
 func (s *cacheShard) insert(b []byte, h uint64, impact core.Impact, res core.RadiusResult, replace bool) {
 	if i := s.find(b, h); i != none {
 		if replace {
-			s.slots[i].result = res
+			sl := &s.slots[i]
+			s.retained += boundaryBytes(res) - boundaryBytes(sl.result)
+			sl.result = res
 			s.touch(i)
 		}
 		return
@@ -272,18 +284,45 @@ func (s *cacheShard) insert(b []byte, h uint64, impact core.Impact, res core.Rad
 		i = s.tail
 		s.unlink(i)
 		s.unindex(i)
+		s.forget(i)
 	}
 	sl := &s.slots[i]
+	if cap(sl.key) < len(b) {
+		// Grow to the key's exact size: append's headroom would be kept
+		// for the slot's lifetime.
+		sl.key = make([]byte, 0, len(b))
+	}
 	sl.key = append(sl.key[:0], b...)
 	sl.hash = h
-	sl.impact = impact
+	sl.impact = nil
+	if impact != nil && pins(b) {
+		sl.impact = impact
+		s.pinned++
+	}
 	sl.result = res
+	s.retained += len(sl.key) + boundaryBytes(res)
 	sl.chain = none
 	if j, ok := s.index[h]; ok {
 		sl.chain = j
 	}
 	s.index[h] = i
 	s.pushFront(i)
+}
+
+// pins reports whether a radius key identifies its impact by address —
+// the 'P' kind appendRadiusKey writes — so its slot must pin the impact.
+func pins(key []byte) bool { return key[0] == 'P' }
+
+// boundaryBytes is the size of a result's boundary point.
+func boundaryBytes(res core.RadiusResult) int { return 8 * len(res.Boundary) }
+
+// forget takes an evicted slot i out of the pinned and retained counts.
+func (s *cacheShard) forget(i int32) {
+	sl := &s.slots[i]
+	if sl.impact != nil {
+		s.pinned--
+	}
+	s.retained -= len(sl.key) + boundaryBytes(sl.result)
 }
 
 // unindex removes slot i from its hash chain.
@@ -423,6 +462,11 @@ type CacheStats struct {
 	// Contended counts shard-lock acquisitions that found the lock held —
 	// the contention the sharding did not manage to spread.
 	Contended uint64
+	// Pinned counts resident entries holding an impact pin: the
+	// pointer-keyed ones. Value-keyed entries never pin.
+	Pinned int
+	// RetainedBytes sums the key and boundary bytes of resident entries.
+	RetainedBytes int
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
@@ -451,6 +495,8 @@ func (c *Cache) Stats() CacheStats {
 		st.DupSuppressed += s.dup
 		st.Size += len(s.slots)
 		st.Capacity += s.capacity
+		st.Pinned += s.pinned
+		st.RetainedBytes += s.retained
 		s.mu.Unlock()
 	}
 	return st

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"container/list"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"fepia/internal/core"
+	"fepia/internal/vecmath"
 )
 
 // modelShard is the reference the slab shard is fuzzed against: the
@@ -89,6 +91,43 @@ func (m *cacheModel) stats() (hits, misses uint64, size int) {
 	return hits, misses, size
 }
 
+// footprint counts the resident pointer-keyed entries and sums the key
+// and boundary bytes of every resident entry.
+func (m *cacheModel) footprint() (pinned, retained int) {
+	for _, s := range m.shards {
+		for el := s.order.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*modelEntry)
+			if e.key[0] == 'P' {
+				pinned++
+			}
+			retained += len(e.key) + 8*len(e.result.Boundary)
+		}
+	}
+	return pinned, retained
+}
+
+// checkPins reports a slot whose pin disagrees with its key: a
+// pointer-keyed slot must hold exactly the impact its key's address
+// names, and a value-keyed slot must hold none.
+func checkPins(c *Cache) error {
+	for i, s := range c.shards {
+		s.mu.Lock()
+		for j := s.head; j != none; j = s.slots[j].next {
+			sl := &s.slots[j]
+			switch {
+			case sl.key[0] != 'P' && sl.impact != nil:
+				s.mu.Unlock()
+				return fmt.Errorf("shard %d slot %d: value-keyed (%q) entry pins a %T", i, j, sl.key[0], sl.impact)
+			case sl.key[0] == 'P' && (sl.impact == nil || uint64(reflect.ValueOf(sl.impact).Pointer()) != binary.LittleEndian.Uint64(sl.key[1:9])):
+				s.mu.Unlock()
+				return fmt.Errorf("shard %d slot %d: pointer-keyed entry pins %v, not the impact its key names", i, j, sl.impact)
+			}
+		}
+		s.mu.Unlock()
+	}
+	return nil
+}
+
 // order lists every shard's keys from least to most recently used.
 func (m *cacheModel) order() [][]string {
 	out := make([][]string, len(m.shards))
@@ -131,18 +170,26 @@ const maxModelOps = 96
 // FuzzCacheModel runs random sequences of cache operations — a first-
 // touch miss, a Radius that may hit, Put, Lookup and Restore — against a
 // slab cache of capacity 1–8 over 1–4 shards and against the reference
-// model. After every operation the counters, the Lookup answers and
-// every shard's LRU order must agree.
+// model. After every operation the counters, the Lookup answers, every
+// shard's LRU order and the footprint gauges must agree, and exactly the
+// resident pointer-keyed entries must pin their impact. The pool mixes
+// value-keyed linear features with unfingerprinted FuncImpacts, which
+// the cache keys by address.
 func FuzzCacheModel(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 0, 1, 5})
 	f.Add([]byte{0, 0, 1, 0, 1, 0, 3, 0, 2, 1, 4, 1, 1, 2, 3, 2})
 	f.Add([]byte{7, 3, 4, 0, 0, 1, 0, 2, 1, 3, 1, 4, 4, 5, 3, 6, 2, 7, 1, 8})
 	f.Add([]byte{5, 1, 2, 9, 2, 10, 4, 0, 3, 9, 1, 11, 0, 0, 0, 0, 3, 10})
+	f.Add([]byte{2, 0, 1, 12, 2, 13, 1, 12, 3, 14, 0, 0, 1, 13, 4, 0, 1, 14, 0, 0, 0, 0})
 
 	rng := rand.New(rand.NewSource(17))
 	p := core.Perturbation{Name: "π", Orig: slabPoint(rng, 4)}
 	opts := core.Options{}.WithDefaults()
 	pool := slabFeatures(f, rng, 12, p.Orig)
+	for k := 0; k < 3; k++ {
+		pool = append(pool, core.Feature{Name: fmt.Sprintf("P%d", k), Impact: sumOfSquares(len(p.Orig)),
+			Bounds: core.NoMin((1.3 + rng.Float64()) * vecmath.Dot(p.Orig, p.Orig))})
+	}
 	fresh := slabFeatures(f, rng, 256, p.Orig)
 	solved := func(t *testing.T, feat core.Feature) core.RadiusResult {
 		r, err := core.ComputeRadius(feat, p, opts)
@@ -244,6 +291,12 @@ func FuzzCacheModel(f *testing.F) {
 			}
 			if got, want := slabOrder(c), m.order(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("after step %d %s: LRU order differs:\nslab  %s\nmodel %s", step, what, orderLabels(got), orderLabels(want))
+			}
+			if pinned, retained := m.footprint(); st.Pinned != pinned || st.RetainedBytes != retained {
+				t.Fatalf("after step %d %s: %d pinned, %d B retained; model %d pinned, %d B", step, what, st.Pinned, st.RetainedBytes, pinned, retained)
+			}
+			if err := checkPins(c); err != nil {
+				t.Fatalf("after step %d %s: %v", step, what, err)
 			}
 		}
 	})

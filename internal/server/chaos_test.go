@@ -136,8 +136,9 @@ func TestChaosDegradedServingAndBreakerOpen(t *testing.T) {
 	// Healthy warm-up fills the radius cache and records the baseline.
 	// The document is all-linear: affine impacts are value-keyed in the
 	// radius cache, so a later request parsing the same JSON reaches the
-	// same entries. (Pointer-keyed impacts — "terms", "func" — cannot be
-	// served degraded across requests by design.)
+	// same entries. (Terms impacts are keyed by their fingerprint and
+	// would serve degraded across requests too; only pointer-keyed
+	// impacts cannot, by design.)
 	doc := linearSpec(1)
 	resp, baselineBody := postJSON(t, ts.URL+"/v1/analyze", doc)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Warning") != "" {

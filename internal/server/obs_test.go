@@ -610,3 +610,43 @@ func TestFaultGaugesFromSeededInjector(t *testing.T) {
 		t.Errorf(`fepiad_faults_injected{kind="error",point="solve"} = %v, want 1`, got)
 	}
 }
+
+// TestCacheFootprintGauges: after linear and convex traffic the radius
+// cache holds entries, yet none pins its impact — every impact a spec
+// decodes is keyed by value (linear coefficients or a terms
+// fingerprint) — and both footprint gauges read the cache's own counts
+// on /metrics and in the /debug/vars snapshot.
+func TestCacheFootprintGauges(t *testing.T) {
+	s := New(quietConfig(Config{}))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, doc := range []string{linearSpec(0), webFarm} {
+		if resp, body := postJSON(t, ts.URL+"/v1/analyze", doc); resp.StatusCode != http.StatusOK {
+			t.Fatalf("analyze: status %d (%s)", resp.StatusCode, body)
+		}
+	}
+	batchBody := `{"systems": [` + linearSpec(3) + `,` + webFarm + `]}`
+	if resp, body := postJSON(t, ts.URL+"/v1/batch", batchBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d (%s)", resp.StatusCode, body)
+	}
+
+	st := s.CacheStats()
+	if st.Size == 0 || st.Pinned != 0 || st.RetainedBytes <= 0 {
+		t.Fatalf("cache after linear and convex traffic: %d entries, %d pinned, %d B retained; want entries, 0 pinned, > 0 B",
+			st.Size, st.Pinned, st.RetainedBytes)
+	}
+	m := scrape(t, ts.URL)
+	vars := getVars(t, ts.URL)
+	for name, want := range map[string]float64{
+		"fepiad_cache_pinned_entries": 0,
+		"fepiad_cache_retained_bytes": float64(st.RetainedBytes),
+	} {
+		if got := m[name]; got != want {
+			t.Errorf("/metrics %s = %v, want %v", name, got, want)
+		}
+		if got := vars.Sum(name); got != want {
+			t.Errorf("/debug/vars %s = %v, want %v", name, got, want)
+		}
+	}
+}

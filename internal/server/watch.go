@@ -19,8 +19,12 @@ const maxWatchPoints = 4096
 // newline-delimited JSON stream out — one spec.WatchFrame per operating
 // point, flushed as it is produced, then one spec.WatchSummary. Frames
 // carry only the radii that CHANGED since the previous frame, computed
-// by the engine's incremental session (batch.Watcher over the kernel
-// delta path; see docs/PERFORMANCE.md, "Incremental sweep").
+// by the engine's incremental session, batch.Watcher. With the server's
+// kernel routing on (-kernel), its linear features take the kernel's
+// delta path, which re-solves only the radii a step's moved coordinates
+// can touch and bypasses the radius cache; on the default flags every
+// feature takes the cached per-feature path on every step. See
+// docs/PERFORMANCE.md, "The incremental delta engine".
 //
 // Watch sessions are always served locally, never relayed to a ring
 // owner: the session's value is the warm delta state accumulated across

@@ -1,7 +1,8 @@
 #!/bin/sh
 # smoke.sh — boot a real fepiad binary, drive one analysis through it,
 # and verify the observability surfaces answer: /healthz, /metrics
-# (Prometheus text exposition), /debug/vars (the registry snapshot), and
+# (Prometheus text exposition, including the radius cache's footprint
+# gauges), /debug/vars (the registry snapshot), and
 # /debug/traces with the request's spans — then stream a short /v1/watch
 # session and verify the incremental frames, the fepiad_watch_*
 # counters and the fepiad_trace_retained_bytes gauge on both metric
@@ -69,6 +70,7 @@ for series in \
     'fepiad_cache_shards' \
     'fepiad_cache_dup_suppressed' \
     'fepiad_cache_shard_entries{shard="0"}' \
+    'fepiad_cache_pinned_entries 0' \
     'fepiad_slo_burn_rate{endpoint="analyze",slo="availability",window="5m"} 0' \
     'fepiad_slo_burn_rate{endpoint="analyze",slo="latency",window="1h"} 0' \
     'fepiad_slo_error_budget_remaining{endpoint="analyze",slo="availability"} 1' \
@@ -86,6 +88,13 @@ for series in \
         exit 1
     }
 done
+# The analysis cached its radii: the entries hold key and boundary bytes,
+# and none of them pins its impact (both are value-keyed).
+grep -qE '^fepiad_cache_retained_bytes [1-9]' "$TMP/metrics.txt" || {
+    echo "smoke: /metrics fepiad_cache_retained_bytes missing or zero after an analysis" >&2
+    grep -F 'fepiad_cache_' "$TMP/metrics.txt" >&2 || true
+    exit 1
+}
 
 # /debug/vars is the expvar globals plus "fepiad": the registry snapshot
 # /v1/cluster/metrics serves, so the /metrics families are named in it.
@@ -93,7 +102,8 @@ echo "smoke: GET /debug/vars"
 curl -fsS "$BASE/debug/vars" >"$TMP/vars.json"
 for key in '"memstats":' '"fepiad": {"families":' '"name":"fepiad_requests_total"' \
     '"name":"fepiad_request_duration_ms"' '"name":"fepiad_cache_dup_suppressed"' \
-    '"name":"fepiad_cache_shards"' '"name":"fepiad_breaker_window_samples"' '"name":"fepiad_uptime_seconds"'; do
+    '"name":"fepiad_cache_shards"' '"name":"fepiad_cache_pinned_entries"' '"name":"fepiad_cache_retained_bytes"' \
+    '"name":"fepiad_breaker_window_samples"' '"name":"fepiad_uptime_seconds"'; do
     grep -qF "$key" "$TMP/vars.json" || {
         echo "smoke: /debug/vars missing: $key" >&2
         cat "$TMP/vars.json" >&2
