@@ -101,9 +101,8 @@ endif
 # encoder (FuzzAppendResult: byte-identical to json.Encoder), the
 # retryable-error classifier, the cache-snapshot decoder, the radius
 # cache against a reference model of its shard (FuzzCacheModel: counts,
-# lookups, LRU order and footprint gauges must agree after every
-# operation, and exactly the pointer-keyed entries may pin their
-# impact), the peer
+# lookups, LRU order and retained bytes must agree after every
+# operation, and an unfingerprinted impact is never cached), the peer
 # trace decoders (FuzzParseTraceHeader for X-Fepiad-Trace,
 # FuzzStitchSpans for the X-Fepiad-Spans export stitched into a trace),
 # the trace record stream against a reference model of per-span structs

@@ -319,17 +319,20 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 
 // BenchmarkRadiusCacheConvex isolates the cache's payoff regime: radii
 // that need the iterative convex solver rather than the closed
-// hyperplane formula. All 32 jobs share the same (pointer-keyed) convex
+// hyperplane formula. All 32 jobs share the same fingerprinted convex
 // feature, so a warm cache answers every radius from the map — whereas
 // on cheap affine radii (BenchmarkAnalyzeBatch) the key-building
 // overhead can exceed the solve and the cache is rightly a loss.
+// Without the fingerprint the cache could not identify the impact and
+// "warmcache" would solve every radius.
 func BenchmarkRadiusCacheConvex(b *testing.B) {
 	f := Feature{
 		Name: "phi",
 		Impact: &FuncImpact{
-			N:      2,
-			F:      func(pi []float64) float64 { return pi[0]*pi[0] + pi[0]*pi[1] + pi[1]*pi[1] },
-			Convex: true,
+			N:           2,
+			F:           func(pi []float64) float64 { return pi[0]*pi[0] + pi[0]*pi[1] + pi[1]*pi[1] },
+			Convex:      true,
+			Fingerprint: []byte("x0^2 + x0*x1 + x1^2"),
 		},
 		Bounds: NoMin(25),
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -32,11 +31,10 @@ const maxShards = 256
 // (norm plus solver/anneal budgets). Affine impacts are keyed by value
 // (coefficients and offset) and fingerprinted convex impacts by their
 // fingerprint, so structurally identical features hit across distinct
-// requests and mappings; all other impacts are keyed by pointer
-// identity. Only such a pointer-keyed entry pins its impact, which is
-// sound because an address cannot be recycled into a colliding key while
-// the entry lives. A value-keyed entry holds just its key and its
-// answer: the request-built impact it was solved from is free to go.
+// requests and mappings. Any other impact has no content identity and is
+// uncacheable: every call solves it and no count sees it. An entry holds
+// just its key and its answer, never the request-built impact it was
+// solved from.
 //
 // Scaling: the cache is split into a power-of-two number of shards, each
 // its own mutex + slab of entry slots, selected by a 64-bit FNV-1a hash
@@ -90,19 +88,14 @@ type cacheShard struct {
 	hits    uint64
 	misses  uint64
 	dup     uint64
-	// pinned counts the resident slots holding an impact pin and
-	// retained the key plus boundary bytes of every resident slot.
-	pinned   int
+	// retained is the key plus boundary bytes of every resident slot.
 	retained int
 }
 
-// slot is one memoised radius. impact is set only for a pointer-keyed
-// ('P') entry: it keeps the impact alive so its address cannot be
-// recycled into a colliding key by the garbage collector. A value-keyed
-// ('L' or 'T') entry leaves it nil, since its key already names the
-// impact by value. key is the full byte key, owned by the
-// slot and overwritten when the slot is reused, so it never leaves the
-// shard lock uncopied. result.Boundary, by contrast, is never reused: a
+// slot is one memoised radius. key is the full byte key, which names the
+// impact by value ('L') or fingerprint ('T'); it is owned by the slot
+// and overwritten when the slot is reused, so it never leaves the shard
+// lock uncopied. result.Boundary, by contrast, is never reused: a
 // reused slot gets the new result's own slice, because ShareBoundaries
 // callers may still alias the old one.
 type slot struct {
@@ -112,7 +105,6 @@ type slot struct {
 	chain int32
 	// prev is the LRU neighbour toward head, next the one toward tail.
 	prev, next int32
-	impact     core.Impact
 	result     core.RadiusResult
 }
 
@@ -259,9 +251,8 @@ func (s *cacheShard) find(b []byte, h uint64) int32 {
 // moves to the front, otherwise it is left exactly as it was. A new
 // entry takes a fresh slot while the slab is below capacity and the
 // least recently used slot after that. This is the only insert: the
-// singleflight leader's publish, Put and Restore all go through it, and
-// it keeps impact only when the key is pointer-keyed (see pins).
-func (s *cacheShard) insert(b []byte, h uint64, impact core.Impact, res core.RadiusResult, replace bool) {
+// singleflight leader's publish, Put and Restore all go through it.
+func (s *cacheShard) insert(b []byte, h uint64, res core.RadiusResult, replace bool) {
 	if i := s.find(b, h); i != none {
 		if replace {
 			sl := &s.slots[i]
@@ -284,7 +275,7 @@ func (s *cacheShard) insert(b []byte, h uint64, impact core.Impact, res core.Rad
 		i = s.tail
 		s.unlink(i)
 		s.unindex(i)
-		s.forget(i)
+		s.retained -= len(s.slots[i].key) + boundaryBytes(s.slots[i].result)
 	}
 	sl := &s.slots[i]
 	if cap(sl.key) < len(b) {
@@ -294,11 +285,6 @@ func (s *cacheShard) insert(b []byte, h uint64, impact core.Impact, res core.Rad
 	}
 	sl.key = append(sl.key[:0], b...)
 	sl.hash = h
-	sl.impact = nil
-	if impact != nil && pins(b) {
-		sl.impact = impact
-		s.pinned++
-	}
 	sl.result = res
 	s.retained += len(sl.key) + boundaryBytes(res)
 	sl.chain = none
@@ -309,21 +295,8 @@ func (s *cacheShard) insert(b []byte, h uint64, impact core.Impact, res core.Rad
 	s.pushFront(i)
 }
 
-// pins reports whether a radius key identifies its impact by address —
-// the 'P' kind appendRadiusKey writes — so its slot must pin the impact.
-func pins(key []byte) bool { return key[0] == 'P' }
-
 // boundaryBytes is the size of a result's boundary point.
 func boundaryBytes(res core.RadiusResult) int { return 8 * len(res.Boundary) }
-
-// forget takes an evicted slot i out of the pinned and retained counts.
-func (s *cacheShard) forget(i int32) {
-	sl := &s.slots[i]
-	if sl.impact != nil {
-		s.pinned--
-	}
-	s.retained -= len(sl.key) + boundaryBytes(sl.result)
-}
 
 // unindex removes slot i from its hash chain.
 func (s *cacheShard) unindex(i int32) {
@@ -447,7 +420,8 @@ type CacheStats struct {
 	// singleflight leaders: concurrent duplicate solvers of one key count
 	// one miss (the leader) with the duplicates in DupSuppressed, so
 	// HitRate prices real solver work, not queueing. Uncacheable impacts
-	// (exotic non-pointer Impact implementations) appear in no count.
+	// (anything but a LinearImpact or a fingerprinted FuncImpact) appear
+	// in no count.
 	Hits, Misses uint64
 	// DupSuppressed counts calls that coalesced onto another caller's
 	// in-flight computation instead of solving (or missing) themselves.
@@ -462,9 +436,6 @@ type CacheStats struct {
 	// Contended counts shard-lock acquisitions that found the lock held —
 	// the contention the sharding did not manage to spread.
 	Contended uint64
-	// Pinned counts resident entries holding an impact pin: the
-	// pointer-keyed ones. Value-keyed entries never pin.
-	Pinned int
 	// RetainedBytes sums the key and boundary bytes of resident entries.
 	RetainedBytes int
 }
@@ -495,7 +466,6 @@ func (c *Cache) Stats() CacheStats {
 		st.DupSuppressed += s.dup
 		st.Size += len(s.slots)
 		st.Capacity += s.capacity
-		st.Pinned += s.pinned
 		st.RetainedBytes += s.retained
 		s.mu.Unlock()
 	}
@@ -656,7 +626,7 @@ func (c *Cache) lead(ctx context.Context, s *cacheShard, fl *flight, f core.Feat
 		fl.res, fl.err = res, err
 		c.lock(s)
 		if insert {
-			s.insert(fl.key, fl.hash, f.Impact, res, false)
+			s.insert(fl.key, fl.hash, res, false)
 		}
 		done := s.land(fl)
 		s.mu.Unlock()
@@ -831,15 +801,18 @@ func (c *Cache) Put(f core.Feature, p core.Perturbation, opts core.Options, res 
 	res.Boundary = vecmath.Clone(res.Boundary)
 	c.lock(k.s)
 	k.s.misses++
-	k.s.insert(k.kb.b, k.h, f.Impact, res, false)
+	k.s.insert(k.kb.b, k.h, res, false)
 	k.s.mu.Unlock()
 	k.release()
 }
 
 // appendRadiusKey appends the memoisation key of the subproblem to b,
-// reporting ok=false for impacts it cannot identify (non-pointer Impact
-// implementations other than LinearImpact). Callers pass a pooled buffer
-// so a cache hit constructs its key without allocating.
+// reporting ok=false for an impact with no content identity: anything
+// but a LinearImpact ('L', keyed by value) or a fingerprinted FuncImpact
+// ('T', keyed by its fingerprint — spec-decoded convex features set one,
+// so re-decoding the same document, or another node forwarding it, hits
+// the cache). Callers pass a pooled buffer so a cache hit constructs its
+// key without allocating.
 func appendRadiusKey(b []byte, f *core.Feature, p *core.Perturbation, opts *core.Options) ([]byte, bool) {
 	switch imp := f.Impact.(type) {
 	case *core.LinearImpact:
@@ -847,28 +820,14 @@ func appendRadiusKey(b []byte, f *core.Feature, p *core.Perturbation, opts *core
 		b = appendFloats(b, imp.Coeffs)
 		b = appendFloat(b, imp.Offset)
 	case *core.FuncImpact:
-		// A fingerprinted FuncImpact carries its own content identity —
-		// spec-decoded convex features set one, so re-decoding the same
-		// document (or another node forwarding it) hits the cache instead
-		// of re-running the solver. Unfingerprinted closures keep pointer
-		// identity below.
 		if len(imp.Fingerprint) == 0 {
-			b = append(b, 'P')
-			b = binary.LittleEndian.AppendUint64(b, uint64(reflect.ValueOf(f.Impact).Pointer()))
-			break
+			return b, false
 		}
 		b = append(b, 'T')
 		b = binary.LittleEndian.AppendUint64(b, uint64(len(imp.Fingerprint)))
 		b = append(b, imp.Fingerprint...)
 	default:
-		v := reflect.ValueOf(f.Impact)
-		switch v.Kind() {
-		case reflect.Pointer, reflect.Func, reflect.Map, reflect.Chan, reflect.UnsafePointer:
-			b = append(b, 'P')
-			b = binary.LittleEndian.AppendUint64(b, uint64(v.Pointer()))
-		default:
-			return b, false
-		}
+		return b, false
 	}
 
 	b = append(b, '|')

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"container/list"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -91,41 +90,16 @@ func (m *cacheModel) stats() (hits, misses uint64, size int) {
 	return hits, misses, size
 }
 
-// footprint counts the resident pointer-keyed entries and sums the key
-// and boundary bytes of every resident entry.
-func (m *cacheModel) footprint() (pinned, retained int) {
+// retained sums the key and boundary bytes of every resident entry.
+func (m *cacheModel) retained() int {
+	n := 0
 	for _, s := range m.shards {
 		for el := s.order.Front(); el != nil; el = el.Next() {
 			e := el.Value.(*modelEntry)
-			if e.key[0] == 'P' {
-				pinned++
-			}
-			retained += len(e.key) + 8*len(e.result.Boundary)
+			n += len(e.key) + 8*len(e.result.Boundary)
 		}
 	}
-	return pinned, retained
-}
-
-// checkPins reports a slot whose pin disagrees with its key: a
-// pointer-keyed slot must hold exactly the impact its key's address
-// names, and a value-keyed slot must hold none.
-func checkPins(c *Cache) error {
-	for i, s := range c.shards {
-		s.mu.Lock()
-		for j := s.head; j != none; j = s.slots[j].next {
-			sl := &s.slots[j]
-			switch {
-			case sl.key[0] != 'P' && sl.impact != nil:
-				s.mu.Unlock()
-				return fmt.Errorf("shard %d slot %d: value-keyed (%q) entry pins a %T", i, j, sl.key[0], sl.impact)
-			case sl.key[0] == 'P' && (sl.impact == nil || uint64(reflect.ValueOf(sl.impact).Pointer()) != binary.LittleEndian.Uint64(sl.key[1:9])):
-				s.mu.Unlock()
-				return fmt.Errorf("shard %d slot %d: pointer-keyed entry pins %v, not the impact its key names", i, j, sl.impact)
-			}
-		}
-		s.mu.Unlock()
-	}
-	return nil
+	return n
 }
 
 // order lists every shard's keys from least to most recently used.
@@ -171,10 +145,10 @@ const maxModelOps = 96
 // touch miss, a Radius that may hit, Put, Lookup and Restore — against a
 // slab cache of capacity 1–8 over 1–4 shards and against the reference
 // model. After every operation the counters, the Lookup answers, every
-// shard's LRU order and the footprint gauges must agree, and exactly the
-// resident pointer-keyed entries must pin their impact. The pool mixes
+// shard's LRU order and the retained bytes must agree. The pool mixes
 // value-keyed linear features with unfingerprinted FuncImpacts, which
-// the cache keys by address.
+// are uncacheable: the model solves them every time, counts nothing and
+// inserts nothing.
 func FuzzCacheModel(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 0, 1, 5})
 	f.Add([]byte{0, 0, 1, 0, 1, 0, 3, 0, 2, 1, 4, 1, 1, 2, 3, 2})
@@ -198,9 +172,9 @@ func FuzzCacheModel(f *testing.F) {
 		}
 		return r
 	}
-	key := func(feat core.Feature) string {
-		b, _ := appendRadiusKey(nil, &feat, &p, &opts)
-		return string(b)
+	key := func(feat core.Feature) (string, bool) {
+		b, ok := appendRadiusKey(nil, &feat, &p, &opts)
+		return string(b), ok
 	}
 	// The Restore operation loads a snapshot of the pool's first eight
 	// radii; the model replays the same records in the same order.
@@ -249,10 +223,12 @@ func FuzzCacheModel(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				k := key(feat)
+				k, cacheable := key(feat)
 				want, hit := m.get(k, true)
 				if !hit {
 					want = solved(t, feat)
+				}
+				if !hit && cacheable {
 					m.shard(k).misses++
 					m.insert(k, want, false)
 				}
@@ -264,13 +240,15 @@ func FuzzCacheModel(f *testing.F) {
 				what = "Put " + feat.Name
 				res := solved(t, feat)
 				c.Put(feat, p, opts, res)
-				k := key(feat)
-				m.shard(k).misses++
-				m.insert(k, res, false)
+				if k, cacheable := key(feat); cacheable {
+					m.shard(k).misses++
+					m.insert(k, res, false)
+				}
 			case 3:
 				what = "Lookup " + feat.Name
 				got, ok := c.Lookup(feat, p, opts)
-				want, wantOK := m.get(key(feat), false)
+				k, _ := key(feat)
+				want, wantOK := m.get(k, false)
 				want.Feature = feat.Name
 				if ok != wantOK || (ok && !reflect.DeepEqual(got, want)) {
 					t.Fatalf("step %d %s = %+v (ok %v), want %+v (ok %v)", step, what, got, ok, want, wantOK)
@@ -292,11 +270,8 @@ func FuzzCacheModel(f *testing.F) {
 			if got, want := slabOrder(c), m.order(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("after step %d %s: LRU order differs:\nslab  %s\nmodel %s", step, what, orderLabels(got), orderLabels(want))
 			}
-			if pinned, retained := m.footprint(); st.Pinned != pinned || st.RetainedBytes != retained {
-				t.Fatalf("after step %d %s: %d pinned, %d B retained; model %d pinned, %d B", step, what, st.Pinned, st.RetainedBytes, pinned, retained)
-			}
-			if err := checkPins(c); err != nil {
-				t.Fatalf("after step %d %s: %v", step, what, err)
+			if retained := m.retained(); st.RetainedBytes != retained {
+				t.Fatalf("after step %d %s: %d B retained; model %d B", step, what, st.RetainedBytes, retained)
 			}
 		}
 	})

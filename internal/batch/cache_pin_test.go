@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -102,9 +103,7 @@ func collected(flag *atomic.Bool, rounds int) bool {
 
 // TestCacheValueKeyedEntriesPinNothing: a resident entry keyed by value —
 // a linear impact ('L') or a fingerprinted terms impact ('T') — keeps
-// nothing of the request it was solved from alive, while a resident
-// unfingerprinted FuncImpact ('P', keyed by its address) stays pinned
-// until its entry is evicted.
+// nothing of the request it was solved from alive.
 func TestCacheValueKeyedEntriesPinNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := NewCacheSharded(8, 1)
@@ -129,55 +128,61 @@ func TestCacheValueKeyedEntriesPinNothing(t *testing.T) {
 	convex.Features = convex.Features[:1]
 	value := append(solveAll(linear), solveAll(convex)...)
 
-	orig := slabPoint(rng, 4)
-	closure := solveFunc(t, c, orig, opts)
-
 	for i, flag := range value {
 		if !collected(flag, 50) {
 			t.Fatalf("value-keyed impact %d is still reachable from its resident cache entry", i)
 		}
 	}
-	if collected(closure, 10) {
-		t.Fatal("a resident pointer-keyed FuncImpact was collected: its key's address could be reused")
-	}
-	if st := c.Stats(); st.Size != 3 || st.Pinned != 1 {
-		t.Fatalf("after three solves: %d entries, %d pinned; want 3 and 1", st.Size, st.Pinned)
+	if st := c.Stats(); st.Size != 2 {
+		t.Fatalf("after two solves: %d entries, want 2", st.Size)
 	}
 	if _, ok := c.Lookup(buildShape(t, linear).Features[0], core.Perturbation{Orig: linear.Perturbation.Orig}, opts); !ok {
 		t.Fatal("the linear entry is no longer resident")
 	}
+}
 
-	// Eight fresh keys evict all three entries.
-	p := core.Perturbation{Orig: orig}
-	for _, feat := range slabFeatures(t, rng, 8, orig) {
-		if _, err := c.Radius(feat, p, opts); err != nil {
+// TestSpecImpactsKeyedByContent covers every impact spec.Build makes —
+// linear, terms that collapse to linear, and convex terms — and requires
+// each to be cacheable under a content key ('L' or 'T') that a second
+// decode of the same document reproduces byte for byte. A spec impact
+// type without one would silently solve on every request.
+func TestSpecImpactsKeyedByContent(t *testing.T) {
+	doc := []byte(`{"name":"kinds","perturbation":{"name":"λ","orig":[1,2,3]},"features":[
+		{"name":"linear","max":50,"impact":{"type":"linear","coeffs":[1,2,3],"offset":1}},
+		{"name":"terms-linear","max":50,"impact":{"type":"terms","terms":[{"kind":"linear","index":0,"coeff":2},{"kind":"linear","index":2,"coeff":1}]}},
+		{"name":"terms-convex","max":500,"impact":{"type":"terms","terms":[{"kind":"power","index":1,"coeff":2,"p":2},{"kind":"exp","index":2,"coeff":0.5,"p":0.5}]}}]}`)
+	wantPrefix := []byte{'L', 'L', 'T'}
+	opts := core.Options{}.WithDefaults()
+	keys := func() [][]byte {
+		sys, err := spec.Parse(doc)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if len(sys.Features) != len(wantPrefix) {
+			t.Fatalf("%d features, want %d", len(sys.Features), len(wantPrefix))
+		}
+		out := make([][]byte, len(sys.Features))
+		for i := range sys.Features {
+			b, ok := appendRadiusKey(nil, &sys.Features[i], &sys.Perturbation, &opts)
+			if !ok || b[0] != wantPrefix[i] {
+				t.Fatalf("%s (%T): key ok=%v prefix %q, want a %q key", sys.Features[i].Name, sys.Features[i].Impact, ok, b[:min(len(b), 1)], wantPrefix[i])
+			}
+			out[i] = b
+		}
+		return out
 	}
-	if st := c.Stats(); st.Pinned != 0 {
-		t.Fatalf("after evicting the FuncImpact entry: %d pinned, want 0", st.Pinned)
-	}
-	if !collected(closure, 50) {
-		t.Fatal("an evicted pointer-keyed FuncImpact is still reachable")
+	first, second := keys(), keys()
+	for i := range first {
+		if !bytes.Equal(first[i], second[i]) {
+			t.Errorf("feature %d: two decodes of one document key differently", i)
+		}
 	}
 }
 
-// sumOfSquares is an unfingerprinted convex FuncImpact, ‖π‖², so the
-// cache keys it by its address ('P').
+// sumOfSquares is an unfingerprinted convex FuncImpact, ‖π‖², which the
+// cache cannot identify by content and so never caches.
 func sumOfSquares(dim int) *core.FuncImpact {
 	return &core.FuncImpact{N: dim, Convex: true, F: func(pi []float64) float64 { return vecmath.Dot(pi, pi) }}
-}
-
-// solveFunc caches the radius of a fresh sumOfSquares impact at orig and
-// returns the finalizer flag on it.
-func solveFunc(t *testing.T, c *Cache, orig []float64, opts core.Options) *atomic.Bool {
-	imp := sumOfSquares(len(orig))
-	flag := finalizeFlag(imp)
-	feat := core.Feature{Name: "closure", Impact: imp, Bounds: core.NoMin(2 * vecmath.Dot(orig, orig))}
-	if _, err := c.Radius(feat, core.Perturbation{Orig: orig}, opts); err != nil {
-		t.Fatal(err)
-	}
-	return flag
 }
 
 // retainedPerEntry fills a default-capacity cache with twice its
@@ -240,25 +245,24 @@ func TestCacheRetainedPerEntry(t *testing.T) {
 	}
 }
 
-// TestShardFootprint follows a shard's pinned and retained counts
-// through insert, replace and eviction, including a replace that swaps a
-// boundary point for the nil boundary of an infinite radius.
+// TestShardFootprint follows a shard's retained count through insert,
+// replace and eviction, including a replace that swaps a boundary point
+// for the nil boundary of an infinite radius.
 func TestShardFootprint(t *testing.T) {
 	s := newShard(2)
-	imp := sumOfSquares(2)
-	check := func(what string, pinned, retained int) {
+	check := func(what string, retained int) {
 		t.Helper()
-		if s.pinned != pinned || s.retained != retained {
-			t.Fatalf("%s: %d pinned, %d B retained; want %d and %d", what, s.pinned, s.retained, pinned, retained)
+		if s.retained != retained {
+			t.Fatalf("%s: %d B retained; want %d", what, s.retained, retained)
 		}
 	}
 	point := core.RadiusResult{Radius: 1, Boundary: []float64{1, 2, 3}}
-	s.insert([]byte("P-key"), 1, imp, point, false)
-	check("pointer-keyed insert", 1, 5+24)
-	s.insert([]byte("L-key-1"), 2, imp, point, false)
-	check("value-keyed insert", 1, 5+24+7+24)
-	s.insert([]byte("L-key-1"), 2, imp, core.RadiusResult{Radius: math.Inf(1)}, true)
-	check("replace with an infinite radius", 1, 5+24+7)
-	s.insert([]byte("L-key-2"), 3, nil, point, false)
-	check("eviction of the pointer-keyed entry", 0, 7+7+24)
+	s.insert([]byte("T-key"), 1, point, false)
+	check("first insert", 5+24)
+	s.insert([]byte("L-key-1"), 2, point, false)
+	check("second insert", 5+24+7+24)
+	s.insert([]byte("L-key-1"), 2, core.RadiusResult{Radius: math.Inf(1)}, true)
+	check("replace with an infinite radius", 5+24+7)
+	s.insert([]byte("L-key-2"), 3, point, false)
+	check("eviction of the first entry", 7+7+24)
 }

@@ -57,9 +57,9 @@ func TestShardChainCollisions(t *testing.T) {
 	a, b, c, d := []byte("key-a"), []byte("key-b"), []byte("key-c"), []byte("key-d")
 	const h = 42
 
-	s.insert(a, h, nil, res(1), false)
-	s.insert(b, h, nil, res(2), false)
-	s.insert(c, 7, nil, res(3), false)
+	s.insert(a, h, res(1), false)
+	s.insert(b, h, res(2), false)
+	s.insert(c, 7, res(3), false)
 	if len(s.index) != 2 {
 		t.Fatalf("index has %d hashes, want 2 (a and b chained)", len(s.index))
 	}
@@ -82,18 +82,18 @@ func TestShardChainCollisions(t *testing.T) {
 
 	// An insert without replace leaves an existing entry alone; Restore's
 	// replace overwrites and refreshes it.
-	s.insert(a, h, nil, res(10), false)
+	s.insert(a, h, res(10), false)
 	if got := s.slots[s.find(a, h)].result.Radius; got != 1 {
 		t.Fatalf("insert without replace overwrote a: radius %v", got)
 	}
-	s.insert(a, h, nil, res(11), true)
+	s.insert(a, h, res(11), true)
 	if got := s.slots[s.find(a, h)].result.Radius; got != 11 {
 		t.Fatalf("insert with replace kept radius %v", got)
 	}
 
 	// LRU is now b (oldest), c, a. A fourth key evicts b, the head of the
 	// 42 chain, and takes over its slot under the same hash.
-	s.insert(d, h, nil, res(4), false)
+	s.insert(d, h, res(4), false)
 	if s.find(b, h) != none {
 		t.Fatal("evicted key b is still indexed")
 	}
@@ -107,14 +107,14 @@ func TestShardChainCollisions(t *testing.T) {
 	}
 
 	// Evict c (a lone hash), then a (now the last link of the 42 chain).
-	s.insert([]byte("key-e"), 9, nil, res(5), false)
+	s.insert([]byte("key-e"), 9, res(5), false)
 	if s.find(c, 7) != none {
 		t.Fatal("evicted key c is still indexed")
 	}
 	if _, ok := s.index[7]; ok {
 		t.Fatal("the emptied chain of c is still in the index")
 	}
-	s.insert([]byte("key-f"), h, nil, res(6), false)
+	s.insert([]byte("key-f"), h, res(6), false)
 	if s.find(a, h) != none || s.find(d, h) == none || s.find([]byte("key-f"), h) == none {
 		t.Fatal("evicting the last link of the 42 chain broke it")
 	}

@@ -102,26 +102,38 @@ func TestCacheValueKeyedLinearImpacts(t *testing.T) {
 	}
 }
 
-// Non-linear impacts are keyed by pointer identity: the same object hits,
-// a behaviourally identical clone does not.
-func TestCachePointerKeyedFuncImpacts(t *testing.T) {
+// An unfingerprinted FuncImpact has no content identity, so the cache
+// never memoises it: every call on the same object solves afresh, each
+// answer is bit-equal to core.ComputeRadius, and no count moves.
+func TestCacheUnfingerprintedFuncImpactsUncached(t *testing.T) {
 	c := NewCache(16)
 	p := core.Perturbation{Name: "π", Orig: []float64{1, 1}}
-	square := func(x []float64) float64 { return x[0]*x[0] + x[1]*x[1] }
-	fa := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: square, Convex: true}, Bounds: core.NoMin(9)}
-	fb := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: square, Convex: true}, Bounds: core.NoMin(9)}
+	var evals int
+	square := func(x []float64) float64 { evals++; return x[0]*x[0] + x[1]*x[1] }
+	f := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: square, Convex: true}, Bounds: core.NoMin(9)}
 
-	if _, err := c.Radius(fa, p, core.Options{}); err != nil {
+	want, err := core.ComputeRadius(f, p, core.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Radius(fa, p, core.Options{}); err != nil {
-		t.Fatal(err)
+	perSolve := evals
+	for call := 1; call <= 2; call++ {
+		evals = 0
+		got, err := c.Radius(f, p, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if evals != perSolve {
+			t.Fatalf("call %d evaluated the impact %d times, want %d (a full solve)", call, evals, perSolve)
+		}
+		assertAnalysesIdentical(t, fmt.Sprintf("call %d", call),
+			core.Analysis{Radii: []core.RadiusResult{got}}, core.Analysis{Radii: []core.RadiusResult{want}})
 	}
-	if _, err := c.Radius(fb, p, core.Options{}); err != nil {
-		t.Fatal(err)
+	if _, ok := c.Lookup(f, p, core.Options{}); ok {
+		t.Fatal("Lookup found an unfingerprinted FuncImpact")
 	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want same-object hit and clone miss", st)
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.DupSuppressed != 0 || st.Size != 0 || st.RetainedBytes != 0 {
+		t.Fatalf("stats = %+v, want no hits, misses, dups, entries or retained bytes", st)
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 
 // kernelJob builds a mixed job: mostly linear features (kernel-eligible)
 // with a sprinkling of convex and non-convex FuncImpacts that must keep
-// the internal/optimize path.
+// the internal/optimize path. Each FuncImpact is fingerprinted with its
+// feature's name, so a shared cache memoises every feature as its own
+// entry.
 func kernelJob(t *testing.T, seed int64, n, dim int, mixed bool) Job {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -26,8 +28,9 @@ func kernelJob(t *testing.T, seed int64, n, dim int, mixed bool) Job {
 	for k := range features {
 		if mixed && k%5 == 3 {
 			// Convex quadratic ‖π‖² with a reachable max bound.
+			name := fmt.Sprintf("Q%d", k)
 			features[k] = core.Feature{
-				Name: fmt.Sprintf("Q%d", k),
+				Name: name,
 				Impact: &core.FuncImpact{
 					N: dim,
 					F: func(pi []float64) float64 {
@@ -37,7 +40,8 @@ func kernelJob(t *testing.T, seed int64, n, dim int, mixed bool) Job {
 						}
 						return s
 					},
-					Convex: true,
+					Convex:      true,
+					Fingerprint: []byte(name),
 				},
 				Bounds: core.NoMin(float64(dim) * 16),
 			}
@@ -45,8 +49,9 @@ func kernelJob(t *testing.T, seed int64, n, dim int, mixed bool) Job {
 		}
 		if mixed && k%5 == 4 {
 			// Non-convex impact: routed through the annealing fallback.
+			name := fmt.Sprintf("N%d", k)
 			features[k] = core.Feature{
-				Name: fmt.Sprintf("N%d", k),
+				Name: name,
 				Impact: &core.FuncImpact{
 					N: dim,
 					F: func(pi []float64) float64 {
@@ -56,6 +61,7 @@ func kernelJob(t *testing.T, seed int64, n, dim int, mixed bool) Job {
 						}
 						return s
 					},
+					Fingerprint: []byte(name),
 				},
 				Bounds: core.NoMin(float64(dim) * 16),
 			}

@@ -25,6 +25,10 @@ type gateImpact struct {
 	once    sync.Once
 }
 
+// gateFingerprint is the cache identity of a gateImpact's ‖π‖²: the
+// cache memoises only impacts it can identify by content.
+var gateFingerprint = []byte("gate-sum-of-squares")
+
 func newGateImpact() *gateImpact {
 	return &gateImpact{entered: make(chan struct{}), release: make(chan struct{})}
 }
@@ -64,7 +68,7 @@ func TestSingleflightSingleCompute(t *testing.T) {
 	// options) so the concurrent run has an exact evaluation budget.
 	solo := newGateImpact()
 	close(solo.release)
-	fSolo := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: solo.eval, Convex: true}, Bounds: core.NoMin(9)}
+	fSolo := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: solo.eval, Convex: true, Fingerprint: gateFingerprint}, Bounds: core.NoMin(9)}
 	want, err := core.ComputeRadius(fSolo, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +76,7 @@ func TestSingleflightSingleCompute(t *testing.T) {
 	evalsPerSolve := solo.evals.Load()
 
 	g := newGateImpact()
-	f := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: g.eval, Convex: true}, Bounds: core.NoMin(9)}
+	f := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: g.eval, Convex: true, Fingerprint: gateFingerprint}, Bounds: core.NoMin(9)}
 	c := NewCacheSharded(64, 8)
 
 	results := make([]core.RadiusResult, workers)
@@ -127,7 +131,7 @@ func TestSingleflightLeaderErrorPropagates(t *testing.T) {
 	impact := &core.FuncImpact{N: 2, F: func(x []float64) float64 {
 		g.eval(x)
 		return nan()
-	}, Convex: true}
+	}, Convex: true, Fingerprint: []byte("gate-nan")}
 	f := core.Feature{Name: "bad", Impact: impact, Bounds: core.NoMin(9)}
 	c := NewCacheSharded(64, 8)
 
@@ -183,7 +187,7 @@ func TestSingleflightChaosPutFaultOnLeader(t *testing.T) {
 	const workers = 6
 	p := core.Perturbation{Name: "π", Orig: []float64{1, 1}}
 	g := newGateImpact()
-	f := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: g.eval, Convex: true}, Bounds: core.NoMin(9)}
+	f := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: g.eval, Convex: true, Fingerprint: gateFingerprint}, Bounds: core.NoMin(9)}
 	c := NewCacheSharded(64, 8)
 
 	// Exactly one cache_put consult happens (the leader's); fail it.
@@ -239,7 +243,7 @@ func TestSingleflightChaosPanicFaultOnLeader(t *testing.T) {
 	const workers = 5
 	p := core.Perturbation{Name: "π", Orig: []float64{1, 1}}
 	g := newGateImpact()
-	f := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: g.eval, Convex: true}, Bounds: core.NoMin(9)}
+	f := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: g.eval, Convex: true, Fingerprint: gateFingerprint}, Bounds: core.NoMin(9)}
 	c := NewCacheSharded(64, 8)
 
 	inj := faults.NewScript().At(faults.CachePut, 1, faults.KindPanic)
@@ -308,7 +312,7 @@ func TestSingleflightChaosWaiterCancellation(t *testing.T) {
 	const workers = 4
 	p := core.Perturbation{Name: "π", Orig: []float64{1, 1}}
 	g := newGateImpact()
-	f := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: g.eval, Convex: true}, Bounds: core.NoMin(9)}
+	f := core.Feature{Name: "q", Impact: &core.FuncImpact{N: 2, F: g.eval, Convex: true, Fingerprint: gateFingerprint}, Bounds: core.NoMin(9)}
 	c := NewCacheSharded(64, 8)
 
 	cancelCtx, cancel := context.WithCancel(context.Background())

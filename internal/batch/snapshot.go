@@ -61,12 +61,12 @@ type snapshotEntry struct {
 	res core.RadiusResult
 }
 
-// Snapshot serialises every restart-safe cache entry to w and returns
-// the number of entries written. Pointer-keyed entries (unfingerprinted
-// impacts, keyed by their in-process address) are skipped: their keys
-// are meaningless in the next process. Each shard is walked LRU→MRU so a
-// restore replays inserts in recency order and ends with the same LRU
-// ordering the writer had.
+// Snapshot serialises every cache entry to w and returns the number of
+// entries written. Every key names its impact by value or fingerprint,
+// so each one means the same in the next process. An entry checkRadius
+// refuses is skipped, so every image written here restores. Each shard
+// is walked LRU→MRU so a restore replays inserts in recency order and
+// ends with the same LRU ordering the writer had.
 //
 // The encoding happens outside the shard locks. Under them each entry's
 // key is copied, because a slot's key buffer is reused by the next
@@ -81,8 +81,8 @@ func (c *Cache) Snapshot(w io.Writer) (int, error) {
 		c.lock(s)
 		for i := s.tail; i != none; i = s.slots[i].prev {
 			sl := &s.slots[i]
-			if len(sl.key) == 0 || (sl.key[0] != 'L' && sl.key[0] != 'T') {
-				continue
+			if checkRadius(sl.result) != nil {
+				continue // the reader would refuse the whole image
 			}
 			entries = append(entries, snapshotEntry{key: bytes.Clone(sl.key), res: sl.result})
 		}
@@ -157,14 +157,11 @@ func RestoreCache(r io.Reader, capacity, shards int) (*Cache, int, error) {
 
 // restoreEntry inserts one decoded record without touching the hit/miss
 // counters; a record whose key is already cached replaces its result.
-// The entry's impact reference stays nil, which is sound because only
-// value- and fingerprint-keyed records are ever persisted — nothing
-// pointer-identified needs pinning.
 func (c *Cache) restoreEntry(key []byte, res core.RadiusResult) {
 	h := fnv1a(key)
 	s := c.shardFor(h)
 	c.lock(s)
-	s.insert(key, h, nil, res, true)
+	s.insert(key, h, res, true)
 	s.mu.Unlock()
 }
 
@@ -228,21 +225,41 @@ func decodeSnapshot(data []byte) ([]snapshotEntry, error) {
 		if bk := core.BoundKind(kind[0]); bk < core.AtMax || bk > core.LowerBound {
 			return nil, fmt.Errorf("%w: entry %d has unknown bound kind %d", ErrSnapshot, i, kind[0])
 		}
-		entries = append(entries, snapshotEntry{
-			key: key,
-			res: core.RadiusResult{
-				Feature:  feature,
-				Radius:   radius,
-				Boundary: boundary,
-				Kind:     core.BoundKind(kind[0]),
-				Method:   core.Method(method),
-			},
-		})
+		res := core.RadiusResult{
+			Feature:  feature,
+			Radius:   radius,
+			Boundary: boundary,
+			Kind:     core.BoundKind(kind[0]),
+			Method:   core.Method(method),
+		}
+		if err := checkRadius(res); err != nil {
+			return nil, fmt.Errorf("%w: entry %d %v", ErrSnapshot, i, err)
+		}
+		entries = append(entries, snapshotEntry{key: key, res: res})
 	}
 	if d.off != len(d.buf) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after the last entry", ErrSnapshot, len(d.buf)-d.off)
 	}
 	return entries, nil
+}
+
+// checkRadius rejects a radius no solve can produce: NaN or negative, or
+// an infinite radius that is not Unreachable (or an Unreachable one that
+// is finite). Every solve path keeps a side only when its distance is
+// below +Inf, so +Inf means Unreachable and nothing else. The boundary is
+// not checked: a finite radius can carry a witness whose projection
+// overflowed. A CRC only proves the image is the one written, not that
+// its writer was sound, and the wire encodes a NaN radius as -1, its code
+// for an infinite one.
+func checkRadius(res core.RadiusResult) error {
+	r := res.Radius
+	switch {
+	case math.IsNaN(r) || r < 0:
+		return fmt.Errorf("has impossible radius %v", r)
+	case math.IsInf(r, 1) != (res.Kind == core.Unreachable):
+		return fmt.Errorf("has radius %v with bound kind %v", r, res.Kind)
+	}
+	return nil
 }
 
 // snapshotDecoder is a bounds-checked cursor over the snapshot body;

@@ -3,6 +3,7 @@ package batch
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"fepia/internal/core"
@@ -11,7 +12,8 @@ import (
 // FuzzSnapshotDecode drives arbitrary bytes through the snapshot decoder.
 // The invariant under fuzzing: every input either decodes fully or fails
 // with an error wrapping ErrSnapshot — never a panic, never a silent
-// partial load (a failed Restore must leave the cache empty).
+// partial load (a failed Restore must leave the cache empty) — and every
+// entry it accepts holds a radius a solve could produce.
 func FuzzSnapshotDecode(f *testing.F) {
 	// Seed with a real snapshot plus mutations of it, so coverage starts
 	// past the header checks instead of dying on the magic bytes.
@@ -52,6 +54,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		if n != c.Stats().Size {
 			t.Fatalf("restored %d entries but size is %d", n, c.Stats().Size)
+		}
+		for _, s := range c.shards {
+			for i := range s.slots {
+				res := s.slots[i].result
+				if r := res.Radius; math.IsNaN(r) || r < 0 || math.IsInf(r, 1) != (res.Kind == core.Unreachable) {
+					t.Fatalf("accepted radius %v with bound kind %v", r, res.Kind)
+				}
+			}
 		}
 	})
 }

@@ -47,8 +47,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		want[i] = r
 	}
-	// A pointer-keyed impact (no fingerprint) must be skipped: its key is
-	// an in-process address, meaningless after a restart.
+	// An impact with no fingerprint is never cached, so it can never
+	// reach a snapshot.
 	ptr := core.Feature{
 		Name:   "ptr",
 		Impact: &core.FuncImpact{N: 2, F: func(x []float64) float64 { return x[0] + x[1] }, Convex: true},
@@ -64,7 +64,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != len(feats) {
-		t.Fatalf("Snapshot wrote %d entries, want %d (pointer-keyed entry must be skipped)", n, len(feats))
+		t.Fatalf("Snapshot wrote %d entries, want %d (the unfingerprinted impact must be absent)", n, len(feats))
 	}
 
 	for _, shards := range []int{1, 2, 8, 64} {
@@ -100,7 +100,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 		if _, ok := dst.Lookup(ptr, p, core.Options{}); ok {
-			t.Fatalf("shards=%d: pointer-keyed entry survived the restart", shards)
+			t.Fatalf("shards=%d: an unfingerprinted impact appeared after the restart", shards)
 		}
 		// A restore is neither a hit nor a miss (Lookup counts nothing
 		// either): statistics describe serving, not persistence.
@@ -233,4 +233,170 @@ func checksum(body []byte) []byte {
 	var out [4]byte
 	binary.LittleEndian.PutUint32(out[:], crc32.ChecksumIEEE(body))
 	return out[:]
+}
+
+// TestSnapshotImpossibleRadiusRejected patches the one entry of a good
+// image to radii no solve produces, re-seals its CRC, and
+// requires ErrSnapshot with the restoring cache unchanged. Served from a
+// snapshot, a NaN radius would go out on the wire as -1, the code for an
+// infinite radius: a claim of unbounded robustness.
+func TestSnapshotImpossibleRadiusRejected(t *testing.T) {
+	p := core.Perturbation{Name: "π", Orig: []float64{1, 2}}
+	src := NewCache(16)
+	if _, err := src.Radius(linFeature(t, "a", []float64{3, 4}, 25), p, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if n, err := src.Snapshot(&buf); err != nil || n != 1 {
+		t.Fatalf("Snapshot = %d, %v; want 1 entry", n, err)
+	}
+	good := buf.Bytes()
+	// Walk the entry to its radius, kind and first boundary coordinate.
+	off := len(snapshotMagic) + 4 + 4 + 8
+	skip := func() { off += 4 + int(binary.LittleEndian.Uint32(good[off:])) }
+	skip() // key
+	skip() // feature name
+	radiusAt, kindAt := off, off+8
+	off = kindAt + 1
+	skip() // method
+	if binary.LittleEndian.Uint32(good[off:]) == 0 {
+		t.Fatal("setup: the entry has no boundary coordinate to patch")
+	}
+	coordAt := off + 4
+
+	patch := func(radius float64, kind core.BoundKind, coord float64) []byte {
+		b := append([]byte(nil), good[:len(good)-4]...)
+		binary.LittleEndian.PutUint64(b[radiusAt:], math.Float64bits(radius))
+		b[kindAt] = byte(kind)
+		binary.LittleEndian.PutUint64(b[coordAt:], math.Float64bits(coord))
+		return append(b, checksum(b)...)
+	}
+	// The resident entry a failed restore must leave alone.
+	resident := linFeature(t, "resident", []float64{1, 1}, 10)
+	for name, data := range map[string][]byte{
+		"NaN radius":            patch(math.NaN(), core.AtMax, 1),
+		"negative radius":       patch(-1, core.AtMax, 1),
+		"infinite AtMax radius": patch(math.Inf(1), core.AtMax, 1),
+		"finite Unreachable":    patch(2, core.Unreachable, 1),
+	} {
+		c := NewCache(16)
+		want, err := c.Radius(resident, p, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := c.Stats()
+		n, err := c.Restore(bytes.NewReader(data))
+		if !errors.Is(err, ErrSnapshot) || n != 0 {
+			t.Errorf("%s: Restore = %d, %v; want 0, ErrSnapshot", name, n, err)
+		}
+		if after := c.Stats(); after != before {
+			t.Errorf("%s: failed restore changed the cache: %+v, was %+v", name, after, before)
+		}
+		if got, ok := c.Lookup(resident, p, core.Options{}); !ok || math.Float64bits(got.Radius) != math.Float64bits(want.Radius) {
+			t.Errorf("%s: resident entry = %+v (ok %v), want %+v", name, got, ok, want)
+		}
+	}
+
+	// The same patch with a possible answer loads, so the rejections
+	// above come from the values, not from the patching. A non-finite
+	// boundary coordinate is possible: a solve's projection can overflow.
+	for name, data := range map[string][]byte{
+		"plausible":         patch(2, core.AtMax, 1),
+		"NaN boundary":      patch(2, core.AtMax, math.NaN()),
+		"infinite boundary": patch(2, core.AtMax, math.Inf(-1)),
+		"unreachable":       patch(math.Inf(1), core.Unreachable, 1),
+	} {
+		if n, err := NewCache(16).Restore(bytes.NewReader(data)); err != nil || n != 1 {
+			t.Errorf("%s: Restore = %d, %v; want 1, nil", name, n, err)
+		}
+	}
+}
+
+// TestSnapshotRestoresOverflowedSolves caches linear radii whose solves
+// overflow — a finite radius whose boundary witness is [+Inf +Inf], and a
+// residual too large for a finite distance — snapshots them and requires
+// the image to restore with every entry bit-equal. The reader must accept
+// whatever a solve returns, or one such request would make every later
+// boot start cold.
+func TestSnapshotRestoresOverflowedSolves(t *testing.T) {
+	type item struct {
+		f core.Feature
+		p core.Perturbation
+	}
+	items := []item{
+		{linFeature(t, "tiny-coeffs", []float64{1e-200, 1e-200}, 1), core.Perturbation{Name: "π", Orig: []float64{0, 0}}},
+		{linFeature(t, "huge-max", []float64{0.5}, 1.5e308), core.Perturbation{Name: "π", Orig: []float64{0}}},
+		{linFeature(t, "plain", []float64{3, 4}, 25), core.Perturbation{Name: "π", Orig: []float64{1, 2}}},
+	}
+	src := NewCache(16)
+	want := make([]core.RadiusResult, len(items))
+	for i, it := range items {
+		r, err := src.Radius(it.f, it.p, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
+	}
+	if b := want[0].Boundary; math.IsInf(want[0].Radius, 0) || len(b) == 0 || !math.IsInf(b[0], 1) {
+		t.Fatalf("setup: %+v is not a finite radius with an overflowed witness", want[0])
+	}
+
+	var buf bytes.Buffer
+	if n, err := src.Snapshot(&buf); err != nil || n != len(items) {
+		t.Fatalf("Snapshot = %d, %v; want %d entries", n, err, len(items))
+	}
+	dst := NewCache(16)
+	if n, err := dst.Restore(&buf); err != nil || n != len(items) {
+		t.Fatalf("Restore = %d, %v; want %d, nil", n, err, len(items))
+	}
+	for i, it := range items {
+		got, ok := dst.Lookup(it.f, it.p, core.Options{})
+		if !ok || !sameRadius(got, want[i]) {
+			t.Errorf("%s: restored %+v (ok %v), want %+v", it.f.Name, got, ok, want[i])
+		}
+	}
+}
+
+// TestSnapshotSkipsRefusedEntries puts a NaN radius into a cache, which
+// no solve returns, and requires Snapshot to leave it out so the image
+// still restores with the other entries intact.
+func TestSnapshotSkipsRefusedEntries(t *testing.T) {
+	p := core.Perturbation{Name: "π", Orig: []float64{1, 2}}
+	good := linFeature(t, "good", []float64{3, 4}, 25)
+	bad := linFeature(t, "bad", []float64{1, 1}, 10)
+	src := NewCache(16)
+	want, err := src.Radius(good, p, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Put(bad, p, core.Options{}, core.RadiusResult{Feature: "bad", Radius: math.NaN(), Kind: core.AtMax})
+
+	var buf bytes.Buffer
+	if n, err := src.Snapshot(&buf); err != nil || n != 1 {
+		t.Fatalf("Snapshot = %d, %v; want 1 entry", n, err)
+	}
+	dst := NewCache(16)
+	if n, err := dst.Restore(&buf); err != nil || n != 1 {
+		t.Fatalf("Restore = %d, %v; want 1, nil", n, err)
+	}
+	if got, ok := dst.Lookup(good, p, core.Options{}); !ok || !sameRadius(got, want) {
+		t.Errorf("restored %+v (ok %v), want %+v", got, ok, want)
+	}
+	if _, ok := dst.Lookup(bad, p, core.Options{}); ok {
+		t.Error("the refused entry was restored")
+	}
+}
+
+// sameRadius reports whether a and b are bit-identical answers.
+func sameRadius(a, b core.RadiusResult) bool {
+	if a.Feature != b.Feature || a.Kind != b.Kind || a.Method != b.Method ||
+		math.Float64bits(a.Radius) != math.Float64bits(b.Radius) || len(a.Boundary) != len(b.Boundary) {
+		return false
+	}
+	for i := range a.Boundary {
+		if math.Float64bits(a.Boundary[i]) != math.Float64bits(b.Boundary[i]) {
+			return false
+		}
+	}
+	return true
 }

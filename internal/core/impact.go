@@ -103,9 +103,10 @@ type FuncImpact struct {
 	// FuncImpacts with equal non-empty fingerprints are treated as the
 	// same function by the radius cache, so decoding the same document
 	// twice hits the cache instead of re-solving. Leave nil for closures
-	// with no canonical encoding — identity then falls back to the
-	// pointer, which is always safe. Callers that set it own the
-	// contract: equal fingerprints MUST imply identical F (and Grad).
+	// with no canonical encoding: the radius cache then never memoises
+	// the impact and solves it on every call, which is always safe.
+	// Callers that set it own the contract: equal fingerprints MUST
+	// imply identical F (and Grad).
 	Fingerprint []byte
 }
 

@@ -137,8 +137,8 @@ func TestChaosDegradedServingAndBreakerOpen(t *testing.T) {
 	// The document is all-linear: affine impacts are value-keyed in the
 	// radius cache, so a later request parsing the same JSON reaches the
 	// same entries. (Terms impacts are keyed by their fingerprint and
-	// would serve degraded across requests too; only pointer-keyed
-	// impacts cannot, by design.)
+	// would serve degraded across requests too; an impact with no
+	// content identity is never cached, so it cannot.)
 	doc := linearSpec(1)
 	resp, baselineBody := postJSON(t, ts.URL+"/v1/analyze", doc)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Warning") != "" {

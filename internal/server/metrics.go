@@ -168,8 +168,6 @@ func newTelemetry(s *Server) telemetry {
 		func() float64 { return float64(cache.Stats().DupSuppressed) })
 	reg.GaugeFunc("fepiad_cache_contended", "Radius-cache shard-lock acquisitions that had to wait (contention proxy).",
 		func() float64 { return float64(cache.Stats().Contended) })
-	reg.GaugeFunc("fepiad_cache_pinned_entries", "Radius-cache resident entries pinning their impact (pointer-keyed only; value-keyed entries pin nothing).",
-		func() float64 { return float64(cache.Stats().Pinned) })
 	reg.GaugeFunc("fepiad_cache_retained_bytes", "Key plus boundary bytes of the radius cache's resident entries.",
 		func() float64 { return float64(cache.Stats().RetainedBytes) })
 	for i := 0; i < cache.Stats().Shards; i++ {

@@ -612,10 +612,8 @@ func TestFaultGaugesFromSeededInjector(t *testing.T) {
 }
 
 // TestCacheFootprintGauges: after linear and convex traffic the radius
-// cache holds entries, yet none pins its impact — every impact a spec
-// decodes is keyed by value (linear coefficients or a terms
-// fingerprint) — and both footprint gauges read the cache's own counts
-// on /metrics and in the /debug/vars snapshot.
+// cache holds entries, and the retained-bytes gauge reads the cache's
+// own count on /metrics and in the /debug/vars snapshot.
 func TestCacheFootprintGauges(t *testing.T) {
 	s := New(quietConfig(Config{}))
 	ts := httptest.NewServer(s.Handler())
@@ -632,21 +630,16 @@ func TestCacheFootprintGauges(t *testing.T) {
 	}
 
 	st := s.CacheStats()
-	if st.Size == 0 || st.Pinned != 0 || st.RetainedBytes <= 0 {
-		t.Fatalf("cache after linear and convex traffic: %d entries, %d pinned, %d B retained; want entries, 0 pinned, > 0 B",
-			st.Size, st.Pinned, st.RetainedBytes)
+	if st.Size == 0 || st.RetainedBytes <= 0 {
+		t.Fatalf("cache after linear and convex traffic: %d entries, %d B retained; want entries and > 0 B",
+			st.Size, st.RetainedBytes)
 	}
-	m := scrape(t, ts.URL)
-	vars := getVars(t, ts.URL)
-	for name, want := range map[string]float64{
-		"fepiad_cache_pinned_entries": 0,
-		"fepiad_cache_retained_bytes": float64(st.RetainedBytes),
-	} {
-		if got := m[name]; got != want {
-			t.Errorf("/metrics %s = %v, want %v", name, got, want)
-		}
-		if got := vars.Sum(name); got != want {
-			t.Errorf("/debug/vars %s = %v, want %v", name, got, want)
-		}
+	const name = "fepiad_cache_retained_bytes"
+	want := float64(st.RetainedBytes)
+	if got := scrape(t, ts.URL)[name]; got != want {
+		t.Errorf("/metrics %s = %v, want %v", name, got, want)
+	}
+	if got := getVars(t, ts.URL).Sum(name); got != want {
+		t.Errorf("/debug/vars %s = %v, want %v", name, got, want)
 	}
 }

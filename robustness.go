@@ -177,6 +177,11 @@ type (
 	BatchOptions = batch.Options
 	// RadiusCache memoises per-feature radius computations with LRU
 	// eviction; safe for concurrent use and for sharing across batches.
+	// It memoises only impacts it can identify by content: a
+	// LinearImpact, keyed by its coefficients and offset, and a
+	// FuncImpact with a non-empty Fingerprint. Any other impact, a bare
+	// closure included, is solved on every call and appears in no
+	// CacheStats count.
 	RadiusCache = batch.Cache
 	// CacheStats reports a cache's hit/miss counters and occupancy.
 	CacheStats = batch.CacheStats

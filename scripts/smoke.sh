@@ -70,7 +70,6 @@ for series in \
     'fepiad_cache_shards' \
     'fepiad_cache_dup_suppressed' \
     'fepiad_cache_shard_entries{shard="0"}' \
-    'fepiad_cache_pinned_entries 0' \
     'fepiad_slo_burn_rate{endpoint="analyze",slo="availability",window="5m"} 0' \
     'fepiad_slo_burn_rate{endpoint="analyze",slo="latency",window="1h"} 0' \
     'fepiad_slo_error_budget_remaining{endpoint="analyze",slo="availability"} 1' \
@@ -88,8 +87,7 @@ for series in \
         exit 1
     }
 done
-# The analysis cached its radii: the entries hold key and boundary bytes,
-# and none of them pins its impact (both are value-keyed).
+# The analysis cached its radii: the entries hold key and boundary bytes.
 grep -qE '^fepiad_cache_retained_bytes [1-9]' "$TMP/metrics.txt" || {
     echo "smoke: /metrics fepiad_cache_retained_bytes missing or zero after an analysis" >&2
     grep -F 'fepiad_cache_' "$TMP/metrics.txt" >&2 || true
@@ -102,7 +100,7 @@ echo "smoke: GET /debug/vars"
 curl -fsS "$BASE/debug/vars" >"$TMP/vars.json"
 for key in '"memstats":' '"fepiad": {"families":' '"name":"fepiad_requests_total"' \
     '"name":"fepiad_request_duration_ms"' '"name":"fepiad_cache_dup_suppressed"' \
-    '"name":"fepiad_cache_shards"' '"name":"fepiad_cache_pinned_entries"' '"name":"fepiad_cache_retained_bytes"' \
+    '"name":"fepiad_cache_shards"' '"name":"fepiad_cache_retained_bytes"' \
     '"name":"fepiad_breaker_window_samples"' '"name":"fepiad_uptime_seconds"'; do
     grep -qF "$key" "$TMP/vars.json" || {
         echo "smoke: /debug/vars missing: $key" >&2
