@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmtcheck lintdoc checklinks bench microbench report reportcheck tier1 tier2 serve loadtest fuzz chaos smoke perfcheck
+.PHONY: all build test race vet lint fmtcheck lintdoc checklinks bench microbench report reportcheck tier1 tier2 serve loadtest fuzz chaos poison smoke perfcheck
 
 all: tier1
 
@@ -130,6 +130,20 @@ fuzz:
 # seeded schedule when reproducing a failure.
 chaos:
 	$(GO) test -race -run 'Chaos|Breaker|Degraded|Fault|Retry|Cluster' ./internal/faults ./internal/batch ./internal/server ./internal/cluster
+
+# poison: the request-workspace lifetime check. Built with the
+# fepia_poison tag, a released workspace (internal/spec.Workspace, the
+# pooled memory of one /v1/analyze or /v1/batch request) is overwritten
+# with NaN and junk, and every new slab array starts as junk. The whole
+# server suite must still answer byte for byte, and the decoders must
+# still agree with encoding/json through fresh and reused workspaces: a
+# value kept past its request, or a slot read before it is written,
+# shows up as a failure.
+poison:
+	$(GO) test -tags fepia_poison ./internal/server ./internal/spec
+	$(GO) test -tags fepia_poison -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=15s ./internal/spec
+	$(GO) test -tags fepia_poison -run '^$$' -fuzz='^FuzzParseBatch$$' -fuzztime=15s ./internal/spec
+	$(GO) test -tags fepia_poison -run '^$$' -fuzz='^FuzzWorkspaceReuse$$' -fuzztime=15s ./internal/spec
 
 # smoke: boot a real fepiad, drive one analysis, and curl the
 # observability endpoints (/metrics, /debug/vars, /debug/traces).

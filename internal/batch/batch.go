@@ -225,11 +225,21 @@ func AnalyzeOne(job Job, opts Options) (core.Analysis, error) {
 // policy. The faults.Solve / faults.CacheGet / faults.CachePut injection
 // points fire when ctx carries an injector.
 func AnalyzeOneContext(ctx context.Context, job Job, opts Options) (core.Analysis, error) {
+	return AnalyzeInto(ctx, job, opts, nil)
+}
+
+// AnalyzeInto is AnalyzeOneContext writing the radii into radii when it
+// holds one slot per feature, and into a new slice otherwise; the
+// analysis aliases the slots. Every slot is written before a nil error
+// returns, so they may hold anything beforehand.
+func AnalyzeInto(ctx context.Context, job Job, opts Options, radii []core.RadiusResult) (core.Analysis, error) {
 	if len(job.Features) == 0 {
 		return core.Analysis{}, fmt.Errorf("core: empty feature set Φ")
 	}
 	copts := opts.Core.WithDefaults()
-	radii := make([]core.RadiusResult, len(job.Features))
+	if len(radii) != len(job.Features) {
+		radii = make([]core.RadiusResult, len(job.Features))
+	}
 	// With Options.Kernel set, the vectorized analytic kernel fills the
 	// slots of every eligible linear feature in one SoA sweep; the loop
 	// below then only visits what the kernel could not take (solved is

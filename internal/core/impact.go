@@ -58,13 +58,25 @@ type LinearImpact struct {
 	Offset float64
 }
 
-// NewLinearImpact validates the coefficients (finite; any values allowed,
-// including all-zero, which models a feature unaffected by the parameter).
+// NewLinearImpact validates the coefficients (see Validate) and returns
+// an impact over a copy of them.
 func NewLinearImpact(coeffs []float64, offset float64) (*LinearImpact, error) {
-	if !vecmath.AllFinite(coeffs) || math.IsNaN(offset) || math.IsInf(offset, 0) {
-		return nil, fmt.Errorf("core: linear impact coefficients must be finite")
+	l := &LinearImpact{Coeffs: coeffs, Offset: offset}
+	if err := l.Validate(); err != nil {
+		return nil, err
 	}
-	return &LinearImpact{Coeffs: vecmath.Clone(coeffs), Offset: offset}, nil
+	l.Coeffs = vecmath.Clone(coeffs)
+	return l, nil
+}
+
+// Validate requires finite coefficients and offset; any values are
+// allowed otherwise, including all-zero, which models a feature
+// unaffected by the parameter.
+func (l *LinearImpact) Validate() error {
+	if !vecmath.AllFinite(l.Coeffs) || math.IsNaN(l.Offset) || math.IsInf(l.Offset, 0) {
+		return fmt.Errorf("core: linear impact coefficients must be finite")
+	}
+	return nil
 }
 
 // Eval returns coeffs·π + offset.

@@ -28,7 +28,7 @@ func (s *runtimeSampler) sample() *runtime.MemStats {
 }
 
 // RegisterRuntime adds the process runtime gauges — goroutines, heap,
-// GC — to the registry, evaluated at scrape time (with a 1s cache so a
+// GC, cumulative allocation — to the registry, evaluated at scrape time (with a 1s cache so a
 // burst of scrapes costs one MemStats read).
 func RegisterRuntime(r *Registry) {
 	s := &runtimeSampler{maxAge: time.Second}
@@ -40,6 +40,8 @@ func RegisterRuntime(r *Registry) {
 		func() float64 { return float64(s.sample().HeapObjects) })
 	r.GaugeFunc("go_gc_cycles_total", "Completed GC cycles.",
 		func() float64 { return float64(s.sample().NumGC) })
+	r.GaugeFunc("go_alloc_bytes_total", "Cumulative bytes allocated for heap objects.",
+		func() float64 { return float64(s.sample().TotalAlloc) })
 	r.GaugeFunc("go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.",
 		func() float64 { return float64(s.sample().PauseTotalNs) / 1e9 })
 }

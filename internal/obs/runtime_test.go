@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -33,4 +34,18 @@ func TestRuntimeGaugeConcurrentScrapes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRuntimeAllocBytes reads go_alloc_bytes_total from the registry
+// snapshot: present, positive, and never below what the process had
+// allocated before the registry was made.
+func TestRuntimeAllocBytes(t *testing.T) {
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRegistry()
+	RegisterRuntime(r)
+	got := r.Snapshot().Sum("go_alloc_bytes_total")
+	if got < float64(before.TotalAlloc) || got == 0 {
+		t.Fatalf("go_alloc_bytes_total = %v, process had allocated %d bytes before", got, before.TotalAlloc)
+	}
 }

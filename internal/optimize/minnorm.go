@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"fepia/internal/stats"
 	"fepia/internal/vecmath"
@@ -70,8 +71,14 @@ type Options struct {
 	RayMax float64
 }
 
-// DefaultOptions returns solver settings that resolve the paper's systems
-// to ~1e-9 relative accuracy.
+// DefaultOptions returns the solver settings the library runs with:
+// Tol 1e-10, 200 linearisation steps per start and 8 random restarts.
+// Tol bounds the constraint residual and the last distance improvement,
+// not the error of the distance. Approached from inside the sublevel set
+// of a convex f, where the problem is reverse-convex, a solve can stop at
+// MaxIter with Result.Converged false and a distance above the true
+// minimum, by up to 8.9e-4 relative on near-isotropic separable features
+// (ROADMAP Table E).
 func DefaultOptions() Options {
 	return Options{
 		Tol:      1e-10,
@@ -120,10 +127,17 @@ var ErrUnreachable = errors.New("optimize: level set unreachable from the starti
 // initial rays, and the projection's distance in step 3. Any other
 // objective brackets by doubling the step up from 1e-6.
 //
-// For convex f this converges to the global minimum-norm point (the
-// iteration is a fixed point exactly at the KKT condition
-// x* − x₀ ∥ ∇f(x*)). For non-convex f, use AnnealMinDistance and take the
-// better of the two.
+// Every fixed point of the iteration satisfies the KKT condition
+// x* − x₀ ∥ ∇f(x*). For convex f approached from outside the sublevel set
+// (f(x₀) > target) the problem is a projection onto a convex set, whose
+// only KKT point is the global minimum-norm point. Approached from inside
+// (f(x₀) < target: a feature within its bound at the operating point)
+// the problem is reverse-convex: KKT points need not be global, the
+// restarts only sample them, and the linearisation converges linearly at
+// a rate that tends to 1 as the boundary's curvature becomes isotropic,
+// so a solve can hit MaxIter with Converged false and a distance above
+// the true one (ROADMAP Table E). For non-convex f, use
+// AnnealMinDistance and take the better of the two.
 //
 // If f(x₀) = target the distance is 0. The sign of f(x₀) − target selects
 // which side the boundary is approached from automatically.
@@ -159,7 +173,6 @@ func MinNormToLevelSetCtx(ctx context.Context, obj Objective, x0 []float64, targ
 		return Result{X: vecmath.Clone(x0), Distance: 0, Converged: true}, nil
 	}
 
-	rng := stats.NewRNG(opts.Seed)
 	n := len(x0)
 	best := Result{Distance: math.Inf(1)}
 	totalIter := 0
@@ -177,14 +190,8 @@ func MinNormToLevelSetCtx(ctx context.Context, obj Objective, x0 []float64, targ
 	if g, norm := vecmath.Normalize(nil, grad0); norm > 0 {
 		dirs = append(dirs, g, vecmath.Scale(nil, -1, g))
 	}
-	for len(dirs) < opts.Restarts+2 {
-		d := make([]float64, n)
-		for i := range d {
-			d[i] = rng.NormFloat64()
-		}
-		if _, norm := vecmath.Normalize(d, d); norm > 0 {
-			dirs = append(dirs, d)
-		}
+	if k := opts.Restarts + 2 - len(dirs); k > 0 {
+		dirs = append(dirs, restartDirections(opts.Seed, n, opts.Restarts)[:k]...)
 	}
 
 	s := newSolver(obj, x0, f0, target, opts, track)
@@ -227,6 +234,80 @@ func MinNormToLevelSetCtx(ctx context.Context, obj Objective, x0 []float64, targ
 	}
 	return best, nil
 }
+
+// restartDirections returns the first restarts+2 random unit directions
+// the seed draws in n dimensions: the restarts of a solve whose gradient
+// supplied two directions take a prefix of restarts, one with a zero
+// gradient all of them. Drawing them costs a seeded math/rand source per
+// solve, so they are memoised per (seed, n, restarts) in dirMemo, a
+// copy-on-write table of at most maxDirSets sets of at most maxDirFloats
+// coordinates each; a key beyond either cap is drawn afresh every time.
+// The directions are shared: callers only read them.
+func restartDirections(seed int64, n, restarts int) [][]float64 {
+	key := dirKey{seed: seed, n: n, restarts: restarts}
+	if m := dirMemo.Load(); m != nil {
+		if dirs, ok := (*m)[key]; ok {
+			return dirs
+		}
+	}
+	dirs := drawDirections(seed, n, restarts+2)
+	if n*(restarts+2) > maxDirFloats {
+		return dirs
+	}
+	for {
+		old := dirMemo.Load()
+		var table map[dirKey][][]float64
+		if old != nil {
+			if _, ok := (*old)[key]; ok || len(*old) >= maxDirSets {
+				return dirs
+			}
+			table = make(map[dirKey][][]float64, len(*old)+1)
+			for k, v := range *old {
+				table[k] = v
+			}
+		} else {
+			table = make(map[dirKey][][]float64, 1)
+		}
+		table[key] = dirs
+		if dirMemo.CompareAndSwap(old, &table) {
+			return dirs
+		}
+	}
+}
+
+// drawDirections draws count random unit directions in n dimensions from
+// a generator seeded with seed, skipping draws of zero norm.
+func drawDirections(seed int64, n, count int) [][]float64 {
+	rng := stats.NewRNG(seed)
+	dirs := make([][]float64, 0, max(count, 0))
+	for len(dirs) < count {
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = rng.NormFloat64()
+		}
+		if _, norm := vecmath.Normalize(d, d); norm > 0 {
+			dirs = append(dirs, d)
+		}
+	}
+	return dirs
+}
+
+// dirKey identifies one memoised set of restart directions.
+type dirKey struct {
+	seed        int64
+	n, restarts int
+}
+
+// Caps of dirMemo: at most maxDirSets direction sets, each of at most
+// maxDirFloats coordinates, so the table holds at most 512 KB whatever
+// dimensions clients send.
+const (
+	maxDirSets   = 32
+	maxDirFloats = 2048
+)
+
+// dirMemo is restartDirections' table; a published map is never written.
+var dirMemo atomic.Pointer[map[dirKey][][]float64]
 
 // boundTracker turns solver iterates into the monotone certified
 // lower-bound stream of MinNormToLevelSetCtx: it keeps the best

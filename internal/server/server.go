@@ -562,6 +562,9 @@ type request struct {
 	// forwarded marks a request a peer forwarded in: it is never
 	// forwarded again (single-hop rule).
 	forwarded bool
+	// ws is the request's pooled memory: its systems, radius slots and
+	// results. serve returns it to the pool; see the lifetime rule there.
+	ws *spec.Workspace
 
 	// Set by the route stage: the systems this node solves, the rest
 	// grouped by ring owner, and whether the local solve stands in for
@@ -577,7 +580,7 @@ type request struct {
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	q := &request{endpoint: epAnalyze, single: true, breaker: s.analyzeBreaker}
 	s.serve(w, r, q, func(b []byte) error {
-		sys, err := spec.Parse(b)
+		sys, err := q.ws.Parse(b)
 		q.systems = []*spec.System{sys}
 		return err
 	})
@@ -589,7 +592,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	q := &request{endpoint: epBatch, breaker: s.batchBreaker}
 	s.serve(w, r, q, func(b []byte) (err error) {
-		q.systems, err = spec.ParseBatch(b)
+		q.systems, err = q.ws.ParseBatch(b)
 		return err
 	})
 }
@@ -607,6 +610,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // fails, degraded mode answers from the radius cache (answerDegraded).
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, q *request, decode func([]byte) error) {
 	q.forwarded = r.Header.Get(cluster.ForwardedFromHeader) != ""
+	// Lifetime rule: nothing the workspace owns outlives this call, so it
+	// goes back to the pool when serve returns. That holds because
+	//   - the radius cache copies its keys into its own slots, and every
+	//     boundary a radius points at is owned by the solver or the
+	//     cache, never by the workspace;
+	//   - ForEach and the sub-batch goroutines are joined before solve
+	//     returns, and the answer is written before serve does;
+	//   - a relayed body is the parse stage's own buffer, outside the
+	//     workspace;
+	//   - trace spans and log lines copy what they record, and the names
+	//     a result carries are immutable strings.
+	// Tests built with -tags fepia_poison hold the rule: a released
+	// workspace is overwritten with NaN and junk before its next use.
+	q.ws = getWorkspace()
+	defer putWorkspace(q.ws)
 	// A relayed body may still be in the transport's hands after Forward
 	// returns, so a request that can be relayed keeps its buffer.
 	var ok bool
@@ -636,7 +654,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, q *request, decod
 	if s.beforeAnalyze != nil {
 		s.beforeAnalyze()
 	}
-	results := make([]spec.ResultJSON, len(q.systems))
+	results := q.ws.Reserve(q.systems)
 	forwarded, ok := s.solve(ctx, w, r, q, results)
 	if !ok {
 		return
@@ -830,7 +848,8 @@ func (s *Server) solve(ctx context.Context, w http.ResponseWriter, r *http.Reque
 
 // solveLocal runs the systems at idx through the engine on this node,
 // writing each result, its meta block stamped, into its request-order
-// slot. It is the server's one call into batch.AnalyzeOneContext.
+// slot. It is the server's one call into batch.AnalyzeInto, which fills
+// the system's radius slots in the request's workspace.
 func (s *Server) solveLocal(ctx context.Context, q *request, idx []int, results []spec.ResultJSON, degraded bool) error {
 	// With any anytime system in the group, the scheduling loop must not
 	// abort at the deadline — every remaining system still gets its
@@ -850,14 +869,15 @@ func (s *Server) solveLocal(ctx context.Context, q *request, idx []int, results 
 		rs := &batch.RequestStats{}
 		sctx := batch.WithRequestStats(ctx, rs)
 		job, opts := s.engineInput(sys)
-		a, err := batch.AnalyzeOneContext(sctx, job, opts)
+		radii, wire := q.ws.Slots(i)
+		a, err := batch.AnalyzeInto(sctx, job, opts, radii)
 		if err != nil {
 			if q.single {
 				return err
 			}
 			return fmt.Errorf("systems[%d] (%s): %w", i, sys.Name, err)
 		}
-		results[i] = spec.Encode(sys.Name, a)
+		results[i] = spec.EncodeInto(wire, sys.Name, a)
 		results[i].Meta = s.stamp(sctx, a, q.forwarded, degraded, rs.Source())
 		return nil
 	})

@@ -8,8 +8,9 @@ import (
 	"fepia/internal/spec"
 )
 
-// maxPooledBody caps the buffers bodyPool keeps: one huge batch request
-// or answer must not pin its buffer for the life of the process.
+// maxPooledBody caps the buffers bodyPool keeps and the bytes a pooled
+// workspace may retain: one huge batch request or answer must not pin
+// its memory for the life of the process.
 const maxPooledBody = 1 << 20
 
 // bodyPool recycles the per-request buffers request bodies are read
@@ -25,6 +26,22 @@ func putBuf(b *[]byte) {
 	}
 	*b = (*b)[:0]
 	bodyPool.Put(b)
+}
+
+// workspacePool recycles the request workspaces /v1/analyze and
+// /v1/batch decode, analyse and encode into.
+var workspacePool = sync.Pool{New: func() any { return new(spec.Workspace) }}
+
+// getWorkspace takes a workspace from workspacePool; putWorkspace drops
+// one that grew past maxPooledBody and resets and returns the others.
+func getWorkspace() *spec.Workspace { return workspacePool.Get().(*spec.Workspace) }
+
+func putWorkspace(w *spec.Workspace) {
+	if w.Retained() > maxPooledBody {
+		return
+	}
+	w.Reset()
+	workspacePool.Put(w)
 }
 
 // appendAll appends what rd yields up to EOF to dst, growing it the way

@@ -27,27 +27,27 @@ import (
 	"unicode/utf8"
 )
 
-// decodeFile is the fast path of Parse.
-func decodeFile(data []byte) (File, bool) {
-	d := decoder{buf: data}
+// decodeFile is the fast path of Parse, decoding into w.
+func (w *Workspace) decodeFile(data []byte) (File, bool) {
+	d := decoder{buf: data, w: w}
 	var f File
 	d.file(&f)
 	return f, d.end()
 }
 
-// decodeBatch is the fast path of ParseBatch.
-func decodeBatch(data []byte) (BatchRequest, bool) {
-	d := decoder{buf: data}
+// decodeBatch is the fast path of ParseBatch, decoding into w.
+func (w *Workspace) decodeBatch(data []byte) (BatchRequest, bool) {
+	d := decoder{buf: data, w: w}
 	var req BatchRequest
 	var seen uint8
 	for n := 0; d.member(&n); {
 		switch string(d.key(&seen)) {
 		case "systems":
-			req.Systems = []File{}
+			lo := len(w.files.buf)
 			for m := 0; d.element(&m); {
-				req.Systems = append(req.Systems, File{})
-				d.file(&req.Systems[len(req.Systems)-1])
+				d.file(w.files.push(&lo))
 			}
+			req.Systems = nonNil(w.files.run(lo))
 		default:
 			d.fail()
 		}
@@ -57,7 +57,7 @@ func decodeBatch(data []byte) (BatchRequest, bool) {
 
 // decodeWatch is the fast path of DecodeWatchRequest.
 func decodeWatch(data []byte) (WatchRequest, bool) {
-	d := decoder{buf: data}
+	d := decoder{buf: data, w: new(Workspace)}
 	var req WatchRequest
 	var seen uint8
 	for n := 0; d.member(&n); {
@@ -76,6 +76,15 @@ func decodeWatch(data []byte) (WatchRequest, bool) {
 	return req, d.end()
 }
 
+// nonNil returns xs, or an empty non-nil slice for an empty run: what
+// json.Unmarshal makes of [].
+func nonNil[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return []T{}
+	}
+	return xs
+}
+
 // decoder is a single-pass cursor over one document. Every failure
 // jumps the cursor to the end of the input, so each loop below stops at
 // its next read and the caller only checks bad once, in end.
@@ -83,13 +92,12 @@ type decoder struct {
 	buf []byte
 	i   int
 	bad bool
-	// arena backs the document's float slices and bound pointers, so a
-	// request costs a few slab allocations instead of one per array.
-	// Each slice is capped at its own length, so appending to one never
-	// writes into its neighbour.
-	arena []float64
-	// scratch collects an array's values before it is carved from arena.
-	scratch []float64
+	// w backs every slice, bound pointer and name the document decodes
+	// to, so a request costs a few slab allocations instead of one per
+	// array — none once the workspace is reused. Each slice is capped at
+	// its own length, so appending to one never writes into its
+	// neighbour.
+	w *Workspace
 }
 
 func (d *decoder) fail() {
@@ -217,11 +225,11 @@ func (d *decoder) file(f *File) {
 		case "norm":
 			f.Norm = d.str()
 		case "features":
-			f.Features = []FeatureSpec{}
+			lo := len(d.w.specs.buf)
 			for m := 0; d.element(&m); {
-				f.Features = append(f.Features, FeatureSpec{})
-				d.feature(&f.Features[len(f.Features)-1])
+				d.feature(d.w.specs.push(&lo))
 			}
+			f.Features = nonNil(d.w.specs.run(lo))
 		case "anytime":
 			f.Anytime = d.boolean()
 		default:
@@ -277,11 +285,11 @@ func (d *decoder) impact(is *ImpactSpec) {
 		case "offset":
 			is.Offset = d.float()
 		case "terms":
-			is.Terms = []TermSpec{}
+			lo := len(d.w.terms.buf)
 			for m := 0; d.element(&m); {
-				is.Terms = append(is.Terms, TermSpec{})
-				d.term(&is.Terms[len(is.Terms)-1])
+				d.term(d.w.terms.push(&lo))
 			}
+			is.Terms = nonNil(d.w.terms.run(lo))
 		default:
 			d.fail()
 		}
@@ -306,34 +314,22 @@ func (d *decoder) term(ts *TermSpec) {
 	}
 }
 
-// carve copies vals into the arena and returns the copy, capped at its
-// length. The result is never nil, like json.Unmarshal's rendering of [].
-func (d *decoder) carve(vals []float64) []float64 {
-	if len(vals) == 0 {
-		return []float64{}
-	}
-	if len(vals) > cap(d.arena)-len(d.arena) {
-		d.arena = make([]float64, 0, max(256, len(vals)))
-	}
-	lo := len(d.arena)
-	d.arena = append(d.arena, vals...)
-	return d.arena[lo:len(d.arena):len(d.arena)]
-}
-
 // floats decodes an array of numbers.
 func (d *decoder) floats() []float64 {
-	d.scratch = d.scratch[:0]
+	lo := len(d.w.floats.buf)
 	for n := 0; d.element(&n); {
-		d.scratch = append(d.scratch, d.float())
+		v := d.float()
+		*d.w.floats.push(&lo) = v
 	}
-	return d.carve(d.scratch)
+	return nonNil(d.w.floats.run(lo))
 }
 
 // bound decodes a number into a fresh pointer, as json.Unmarshal does for
 // a *float64 field.
 func (d *decoder) bound() *float64 {
-	v := d.float()
-	return &d.carve([]float64{v})[0]
+	p := &d.w.floats.take(1)[0]
+	*p = d.float()
+	return p
 }
 
 // number scans one number in strict JSON grammar and returns its text;
@@ -438,7 +434,7 @@ func (d *decoder) str() string {
 		c := b[j]
 		if c == '"' {
 			d.i = j + 1
-			return intern(b[start:j])
+			return d.w.intern(b[start:j])
 		}
 		if c == '\\' {
 			return d.escaped(start, j)
@@ -544,9 +540,9 @@ func hex4(b []byte) int {
 	return r
 }
 
-// intern returns the spec format's enumerated strings without
-// allocating; any other string is copied.
-func intern(b []byte) string {
+// constant returns the spec format's enumerated string b without
+// allocating, or "" when b is none of them.
+func constant(b []byte) string {
 	switch string(b) {
 	case "linear":
 		return "linear"
@@ -565,5 +561,5 @@ func intern(b []byte) string {
 	case "linf":
 		return "linf"
 	}
-	return string(b)
+	return ""
 }

@@ -6,11 +6,6 @@ package spec
 // BatchResponse whose results are in request order. Every non-2xx answer
 // is an ErrorJSON.
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
 // BatchRequest is the POST /v1/batch body: many systems analysed in one
 // round trip over the server's worker pool and shared radius cache.
 type BatchRequest struct {
@@ -47,24 +42,4 @@ type ErrorJSON struct {
 // ParseBatch decodes and validates a BatchRequest, returning one analysable
 // System per entry, in order. Failures are *ValidationError values whose
 // paths are rooted at "systems[i]".
-func ParseBatch(data []byte) ([]*System, error) {
-	req, ok := decodeBatch(data)
-	if !ok {
-		req = BatchRequest{} // the fast path may have filled it partway
-		if err := json.Unmarshal(data, &req); err != nil {
-			return nil, malformed(err)
-		}
-	}
-	if len(req.Systems) == 0 {
-		return nil, invalidf("systems", "no systems")
-	}
-	out := make([]*System, len(req.Systems))
-	for i, f := range req.Systems {
-		sys, err := Build(f)
-		if err != nil {
-			return nil, PrefixPath(fmt.Sprintf("systems[%d]", i), err)
-		}
-		out[i] = sys
-	}
-	return out, nil
-}
+func ParseBatch(data []byte) ([]*System, error) { return new(Workspace).ParseBatch(data) }

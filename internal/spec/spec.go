@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strconv"
 
 	"fepia/internal/convexfn"
 	"fepia/internal/core"
@@ -146,23 +147,21 @@ func (s *System) RouteKey() uint64 {
 // Parse decodes and validates a JSON spec. Every failure is a
 // *ValidationError carrying the JSON field path of the offending value
 // (and matching ErrInvalidSpec), so callers can distinguish client
-// mistakes from engine failures with errors.As.
-func Parse(data []byte) (*System, error) {
-	f, ok := decodeFile(data)
-	if !ok {
-		f = File{} // the fast path may have filled it partway
-		if err := json.Unmarshal(data, &f); err != nil {
-			return nil, malformed(err)
-		}
-	}
-	return Build(f)
-}
+// mistakes from engine failures with errors.As. The system's features
+// and operating point share their float slices with its File.
+func Parse(data []byte) (*System, error) { return new(Workspace).Parse(data) }
 
 // Build validates a decoded File and assembles the analysable system.
-func Build(f File) (*System, error) {
+// The system copies the coefficient vectors and the operating point, so
+// the caller keeps f's slices.
+func Build(f File) (*System, error) { return new(Workspace).build(f, false) }
+
+// build is Build into w. owned says f's slices were decoded for this
+// call alone, so the system aliases them instead of copying.
+func (w *Workspace) build(f File, owned bool) (*System, error) {
 	p := core.Perturbation{
 		Name:     f.Perturbation.Name,
-		Orig:     vecmath.Clone(f.Perturbation.Orig),
+		Orig:     w.own(f.Perturbation.Orig, owned),
 		Units:    f.Perturbation.Units,
 		Discrete: f.Perturbation.Discrete,
 	}
@@ -189,9 +188,8 @@ func Build(f File) (*System, error) {
 	if len(f.Features) == 0 {
 		return nil, invalidf("features", "no features")
 	}
-	features := make([]core.Feature, 0, len(f.Features))
+	features := w.feats.take(len(f.Features))
 	for i, fs := range f.Features {
-		fpath := fmt.Sprintf("features[%d]", i)
 		name := fs.Name
 		if name == "" {
 			name = fmt.Sprintf("phi_%d", i+1)
@@ -204,74 +202,91 @@ func Build(f File) (*System, error) {
 			bounds.Max = *fs.Max
 		}
 		if fs.Min == nil && fs.Max == nil {
-			return nil, invalidf(fpath, "feature %q has neither min nor max", name)
+			return nil, invalidf(featurePath(i), "feature %q has neither min nor max", name)
 		}
-		impact, err := buildImpact(fs.Impact, dim, fpath+".impact")
+		impact, err := w.buildImpact(fs.Impact, dim, owned)
 		if err != nil {
-			return nil, err
+			return nil, PrefixPath(featurePath(i)+".impact", err)
 		}
-		feature := core.Feature{Name: name, Impact: impact, Bounds: bounds}
-		if err := feature.Validate(); err != nil {
-			return nil, invalidErr(fpath, err)
+		features[i] = core.Feature{Name: name, Impact: impact, Bounds: bounds}
+		if err := features[i].Validate(); err != nil {
+			return nil, invalidErr(featurePath(i), err)
 		}
-		features = append(features, feature)
 	}
-	return &System{Name: f.Name, Features: features, Perturbation: p, Options: opts, File: f}, nil
+	sys := &w.systems.take(1)[0]
+	*sys = System{Name: f.Name, Features: features, Perturbation: p, Options: opts, File: f}
+	return sys, nil
 }
 
-// buildImpact assembles the impact function of one feature; path locates
-// the impact object in the document for error reporting.
-func buildImpact(is ImpactSpec, dim int, path string) (core.Impact, error) {
+// featurePath is the document path of feature i, formatted only for an
+// error.
+func featurePath(i int) string { return "features[" + strconv.Itoa(i) + "]" }
+
+// own returns xs when the caller owns it, else a copy in w's arena.
+func (w *Workspace) own(xs []float64, owned bool) []float64 {
+	if owned || xs == nil {
+		return xs
+	}
+	c := w.floats.take(len(xs))
+	copy(c, xs)
+	return c
+}
+
+// buildImpact assembles the impact function of one feature; the paths
+// of its errors are relative to the impact object.
+func (w *Workspace) buildImpact(is ImpactSpec, dim int, owned bool) (core.Impact, error) {
 	switch is.Type {
 	case "linear":
 		if len(is.Coeffs) != dim {
-			return nil, invalidf(path+".coeffs", "%d coefficients for a %d-dimensional perturbation", len(is.Coeffs), dim)
+			return nil, invalidf("coeffs", "%d coefficients for a %d-dimensional perturbation", len(is.Coeffs), dim)
 		}
-		imp, err := core.NewLinearImpact(is.Coeffs, is.Offset)
-		if err != nil {
-			return nil, invalidErr(path, err)
-		}
-		return imp, nil
+		return w.linearImpact(w.own(is.Coeffs, owned), is.Offset, "")
 	case "terms":
 		if len(is.Terms) == 0 {
-			return nil, invalidf(path+".terms", "empty term list")
+			return nil, invalidf("terms", "empty term list")
 		}
-		var c convexfn.Complexity
+		c := make(convexfn.Complexity, len(is.Terms))
 		for j, ts := range is.Terms {
 			kind, err := parseKind(ts.Kind)
 			if err != nil {
-				return nil, invalidErr(fmt.Sprintf("%s.terms[%d].kind", path, j), err)
+				return nil, invalidErr("terms["+strconv.Itoa(j)+"].kind", err)
 			}
-			c = append(c, convexfn.Term{Kind: kind, Index: ts.Index, Coeff: ts.Coeff, P: ts.P})
+			c[j] = convexfn.Term{Kind: kind, Index: ts.Index, Coeff: ts.Coeff, P: ts.P}
 		}
 		if err := c.Validate(dim); err != nil {
-			return nil, invalidErr(path+".terms", err)
+			return nil, invalidErr("terms", err)
 		}
 		if c.IsLinear() {
-			imp, err := core.NewLinearImpact(c.LinearCoeffs(dim), 0)
-			if err != nil {
-				return nil, invalidErr(path+".terms", err)
-			}
-			return imp, nil
+			return w.linearImpact(c.LinearCoeffs(dim), 0, "terms")
 		}
-		cc := c
 		return &core.FuncImpact{
 			N:      dim,
-			F:      cc.Eval,
-			Grad:   cc.Gradient,
+			F:      c.Eval,
+			Grad:   c.Gradient,
 			Convex: true,
 			// The term list fully determines the function, so encode it as
 			// the impact's content identity: decoding the same document
 			// twice — or on two cluster nodes — yields cache-equal
 			// impacts, and convex radii memoise across requests like
 			// linear ones do.
-			Fingerprint: termsFingerprint(dim, cc),
+			Fingerprint: termsFingerprint(dim, c),
 		}, nil
 	case "":
-		return nil, invalidf(path+".type", "impact type missing")
+		return nil, invalidf("type", "impact type missing")
 	default:
-		return nil, invalidf(path+".type", "unknown impact type %q (want linear or terms)", is.Type)
+		return nil, invalidf("type", "unknown impact type %q (want linear or terms)", is.Type)
 	}
+}
+
+// linearImpact validates a linear impact over coeffs, which it keeps,
+// and places it in w; path locates a validation error.
+func (w *Workspace) linearImpact(coeffs []float64, offset float64, path string) (core.Impact, error) {
+	imp := &w.linear.take(1)[0]
+	*imp = core.LinearImpact{Coeffs: coeffs, Offset: offset}
+	if err := imp.Validate(); err != nil {
+		return nil, invalidErr(path, err)
+	}
+	return imp, nil
 }
 
 // termsFingerprint canonically encodes a validated term list (plus the
@@ -337,7 +352,11 @@ type RadiusJSON struct {
 // Non-finite radii are serialised as the string "inf" by the caller's
 // encoder settings; to stay plain-JSON compatible they are emitted as −1
 // with the bound "unreachable".
-func Encode(name string, a core.Analysis) ResultJSON {
+func Encode(name string, a core.Analysis) ResultJSON { return EncodeInto(nil, name, a) }
+
+// EncodeInto is Encode writing the radii into dst when it holds one slot
+// per radius, and into a new slice otherwise.
+func EncodeInto(dst []RadiusJSON, name string, a core.Analysis) ResultJSON {
 	out := ResultJSON{
 		Name:         name,
 		Perturbation: a.Perturbation,
@@ -347,14 +366,21 @@ func Encode(name string, a core.Analysis) ResultJSON {
 	if cf := a.CriticalFeature(); cf != nil {
 		out.Critical = cf.Feature
 	}
-	for _, r := range a.Radii {
-		out.Radii = append(out.Radii, RadiusJSON{
+	if len(a.Radii) == 0 {
+		return out
+	}
+	if len(dst) != len(a.Radii) {
+		dst = make([]RadiusJSON, len(a.Radii))
+	}
+	for i, r := range a.Radii {
+		dst[i] = RadiusJSON{
 			Feature:  r.Feature,
 			Radius:   finiteOr(r.Radius, -1),
 			Kind:     r.Kind.String(),
 			Boundary: r.Boundary,
-		})
+		}
 	}
+	out.Radii = dst
 	return out
 }
 

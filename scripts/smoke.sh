@@ -2,7 +2,7 @@
 # smoke.sh — boot a real fepiad binary, drive one analysis through it,
 # and verify the observability surfaces answer: /healthz, /metrics
 # (Prometheus text exposition, including the radius cache's footprint
-# gauges), /debug/vars (the registry snapshot), and
+# gauges and the cumulative allocation series), /debug/vars (the registry snapshot), and
 # /debug/traces with the request's spans — then stream a short /v1/watch
 # session and verify the incremental frames, the fepiad_watch_*
 # counters and the fepiad_trace_retained_bytes gauge on both metric
@@ -80,7 +80,8 @@ for series in \
     'fepiad_breaker_window_size{endpoint="batch"}' \
     'fepiad_uptime_seconds ' \
     'fepiad_snapshot_last_write_timestamp_seconds 0' \
-    'go_goroutines'; do
+    'go_goroutines' \
+    'go_alloc_bytes_total'; do
     grep -qF "$series" "$TMP/metrics.txt" || {
         echo "smoke: /metrics missing: $series" >&2
         cat "$TMP/metrics.txt" >&2
@@ -101,7 +102,8 @@ curl -fsS "$BASE/debug/vars" >"$TMP/vars.json"
 for key in '"memstats":' '"fepiad": {"families":' '"name":"fepiad_requests_total"' \
     '"name":"fepiad_request_duration_ms"' '"name":"fepiad_cache_dup_suppressed"' \
     '"name":"fepiad_cache_shards"' '"name":"fepiad_cache_retained_bytes"' \
-    '"name":"fepiad_breaker_window_samples"' '"name":"fepiad_uptime_seconds"'; do
+    '"name":"fepiad_breaker_window_samples"' '"name":"fepiad_uptime_seconds"' \
+    '"name":"go_alloc_bytes_total"'; do
     grep -qF "$key" "$TMP/vars.json" || {
         echo "smoke: /debug/vars missing: $key" >&2
         cat "$TMP/vars.json" >&2
