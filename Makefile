@@ -34,7 +34,8 @@ fmtcheck:
 	fi
 
 # lintdoc: fail when an exported identifier in the audited packages
-# (internal/vecmath, internal/batch, internal/kernel) has no doc comment.
+# (internal/vecmath, internal/batch, internal/kernel, internal/core,
+# internal/optimize) has no doc comment.
 lintdoc:
 	./scripts/lintdoc.sh
 

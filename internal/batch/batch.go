@@ -203,21 +203,14 @@ func Analyze(ctx context.Context, jobs []Job, opts Options) ([]core.Analysis, er
 	return out, nil
 }
 
-// AnalyzeOne evaluates a single job through the engine's cached radius
-// path without spawning workers. It exists so callers with their own
+// AnalyzeOneContext evaluates a single job through the engine's cached
+// radius path without spawning workers, so callers with their own
 // per-item pipelines (e.g. hiperd.EvaluateBatch, which interleaves
 // feature construction and slack computation) can still share one radius
-// cache; it is safe to call concurrently. It delegates to
-// AnalyzeOneContext with context.Background().
-func AnalyzeOne(job Job, opts Options) (core.Analysis, error) {
-	return AnalyzeOneContext(context.Background(), job, opts)
-}
-
-// AnalyzeOneContext is AnalyzeOne under a context: like
-// core.AnalyzeContext, cancellation is observed between per-feature
-// radius computations and the ctx error is returned verbatim. It is the
-// per-request entry point of the fepiad server, which must never run an
-// uncancellable solve.
+// cache; it is safe to call concurrently. Like core.AnalyzeContext,
+// cancellation is observed between per-feature radius computations and
+// the ctx error is returned verbatim. It is the per-request entry point
+// of the fepiad server, which must never run an uncancellable solve.
 //
 // Resilience: every per-feature solve is panic-isolated (a crash becomes
 // a typed *core.SolveError wrapping core.ErrSolvePanic for this job only)
@@ -254,14 +247,6 @@ func AnalyzeInto(ctx context.Context, job Job, opts Options, radii []core.Radius
 	for i, f := range job.Features {
 		if solved != nil && solved[i] {
 			continue
-		}
-		if err := ctx.Err(); err != nil {
-			// In anytime mode a passed deadline is not fatal: the solve
-			// below returns a certified partial bound for this feature.
-			if !opts.Anytime || !errors.Is(err, context.DeadlineExceeded) {
-				st.end(err)
-				return core.Analysis{}, err
-			}
 		}
 		if err := st.solve(ctx, i, f, job.Perturbation, copts, opts, &radii[i]); err != nil {
 			st.end(err)
@@ -314,8 +299,13 @@ func (st *solveStage) open(ctx context.Context) context.Context {
 
 // solve runs one feature through solveFeature into *out and, on a live
 // stage, folds it into the stage's counts and commits its solve_feature
-// span when the feature is worth one.
+// span when the feature is worth one. An ended ctx fails the feature
+// before any clock is read, except for a passed deadline in anytime
+// mode: the solve then returns a certified partial bound.
 func (st *solveStage) solve(ctx context.Context, idx int, f core.Feature, p core.Perturbation, copts core.Options, opts Options, out *core.RadiusResult) error {
+	if err := ctx.Err(); err != nil && (!opts.Anytime || !errors.Is(err, context.DeadlineExceeded)) {
+		return err
+	}
 	if st.sp == nil {
 		_, err := solveFeature(ctx, f, p, copts, opts, out)
 		return err

@@ -2,7 +2,6 @@ package batch
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -173,11 +172,6 @@ func (w *Watcher) Step(ctx context.Context, next []float64) (StepResult, error) 
 	// the step's solve stage and records whether its answer moved.
 	var st solveStage
 	scalarSolve := func(ctx context.Context, i int) error {
-		if err := ctx.Err(); err != nil {
-			if !w.opts.Anytime || !errors.Is(err, context.DeadlineExceeded) {
-				return err
-			}
-		}
 		r := &w.radii[i]
 		if err := st.solve(ctx, i, w.job.Features[i], stepPert, w.copts, w.opts, r); err != nil {
 			return err

@@ -24,9 +24,10 @@ func sphereFeature(beta float64) Feature {
 	}
 }
 
-// With a context that never expires and no callback, the anytime entry
-// point must be bit-identical to ComputeRadius — same solvers, same
-// options, same order.
+// With a context that never expires, the anytime entry point must be
+// bit-identical to ComputeRadius — same solvers, same options, same
+// order — whether or not the context can expire: a far deadline turns
+// the certification on, and its probes must never feed back.
 func TestAnytimeBitIdenticalWithoutDeadline(t *testing.T) {
 	lin, err := NewLinearImpact([]float64{3, 4}, 0)
 	if err != nil {
@@ -43,22 +44,26 @@ func TestAnytimeBitIdenticalWithoutDeadline(t *testing.T) {
 			},
 		}, Bounds: NoMin(5)},
 	}
+	far, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 	p := Perturbation{Name: "π", Orig: []float64{1, 0}}
 	for _, f := range cases {
 		plain, perr := ComputeRadius(f, p, Options{})
-		any, aerr := ComputeRadiusAnytime(context.Background(), f, p, Options{}, nil)
-		if (perr == nil) != (aerr == nil) {
-			t.Fatalf("%s: errors diverge: %v vs %v", f.Name, perr, aerr)
-		}
-		if math.Float64bits(plain.Radius) != math.Float64bits(any.Radius) {
-			t.Fatalf("%s: radius %v != %v (not bit-identical)", f.Name, plain.Radius, any.Radius)
-		}
-		if plain.Kind != any.Kind || plain.Method != any.Method {
-			t.Fatalf("%s: kind/method %v/%v != %v/%v", f.Name, plain.Kind, plain.Method, any.Kind, any.Method)
-		}
-		for i := range plain.Boundary {
-			if math.Float64bits(plain.Boundary[i]) != math.Float64bits(any.Boundary[i]) {
-				t.Fatalf("%s: boundary[%d] %v != %v", f.Name, i, plain.Boundary[i], any.Boundary[i])
+		for _, ctx := range []context.Context{context.Background(), far} {
+			any, aerr := ComputeRadiusAnytime(ctx, f, p, Options{}, nil)
+			if (perr == nil) != (aerr == nil) {
+				t.Fatalf("%s: errors diverge: %v vs %v", f.Name, perr, aerr)
+			}
+			if math.Float64bits(plain.Radius) != math.Float64bits(any.Radius) {
+				t.Fatalf("%s: radius %v != %v (not bit-identical)", f.Name, plain.Radius, any.Radius)
+			}
+			if plain.Kind != any.Kind || plain.Method != any.Method {
+				t.Fatalf("%s: kind/method %v/%v != %v/%v", f.Name, plain.Kind, plain.Method, any.Kind, any.Method)
+			}
+			for i := range plain.Boundary {
+				if math.Float64bits(plain.Boundary[i]) != math.Float64bits(any.Boundary[i]) {
+					t.Fatalf("%s: boundary[%d] %v != %v", f.Name, i, plain.Boundary[i], any.Boundary[i])
+				}
 			}
 		}
 	}

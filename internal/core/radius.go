@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -85,8 +86,9 @@ type Options struct {
 
 // WithDefaults returns a copy with every zero-valued field replaced by its
 // default (ℓ₂ norm, optimize.DefaultOptions, optimize.DefaultAnnealOptions).
-// ComputeRadius applies it internally; callers that need a stable identity
-// for a configuration — the batch cache keys on it — can normalise first.
+// The radius solvers apply it internally; callers that need a stable
+// identity for a configuration — the batch cache keys on it — can
+// normalise first.
 func (o Options) WithDefaults() Options {
 	if o.Norm == nil {
 		o.Norm = vecmath.L2{}
@@ -167,10 +169,45 @@ func RecoveredSolveError(feature string, rec any) *SolveError {
 // ComputeRadius evaluates Eq. 1 for a single feature: the smallest
 // variation of the perturbation parameter (measured by opts.Norm, ℓ₂ by
 // default) that drives the feature onto either boundary of its tolerable
-// range.
+// range. It is ComputeRadiusAnytime under a context that never expires.
 func ComputeRadius(f Feature, p Perturbation, opts Options) (RadiusResult, error) {
-	if err := validateRadiusInputs(f, p); err != nil {
+	return ComputeRadiusAnytime(context.Background(), f, p, opts, nil)
+}
+
+// ComputeRadiusAnytime evaluates Eq. 1 like ComputeRadius, under a
+// context with certified anytime semantics:
+//
+//   - progress, when non-nil, receives a strictly increasing stream of
+//     certified lower bounds on the final radius while the solve runs.
+//     Every reported value is proven safe — no perturbation smaller than
+//     it can violate the feature — by convexity certificates (a
+//     supporting-halfspace bound on boundaries approached from above, a
+//     cross-polytope inscribed-ball bound from below), not by trusting
+//     solver iterates.
+//   - when ctx's deadline expires mid-solve, the best certified bound is
+//     returned as a partial result with Kind == LowerBound, Method ==
+//     MethodAnytime, a nil Boundary, and a nil error. For non-convex
+//     impacts nothing can be certified, so the partial radius is 0.
+//   - cancellation that is not a deadline (client gone, forced drain) is
+//     returned as an error, exactly like the rest of the engine.
+//
+// Affine impacts take the exact dual-norm hyperplane distance under any
+// norm, so a deadline never degrades them and progress hears their
+// radius once. Any other impact needs the ℓ₂ norm: it runs the convex
+// minimum-norm solver, raced against annealing for a declared non-convex
+// FuncImpact. The certificates are worked out only when progress is set
+// or ctx can expire, and they never feed back into the solvers, so a
+// solve the deadline does not cut short answers bit for bit the same
+// either way.
+func ComputeRadiusAnytime(ctx context.Context, f Feature, p Perturbation, opts Options, progress func(lower float64)) (RadiusResult, error) {
+	if err := f.Validate(); err != nil {
 		return RadiusResult{}, err
+	}
+	if err := p.Validate(); err != nil {
+		return RadiusResult{}, err
+	}
+	if d := f.Impact.Dim(); d != len(p.Orig) {
+		return RadiusResult{}, fmt.Errorf("core: feature %q impact dimension %d != perturbation dimension %d", f.Name, d, len(p.Orig))
 	}
 	opts = opts.WithDefaults()
 
@@ -189,8 +226,39 @@ func ComputeRadius(f Feature, p Perturbation, opts Options) (RadiusResult, error
 		}, nil
 	}
 
+	// Only a non-linear impact under ℓ₂ is solved numerically, and only a
+	// numeric solve whose bounds can be read — by progress, or as the
+	// answer of a ctx that expires — is certified. A linear impact needs
+	// neither: the loop below answers its sides in closed form.
+	lin, _ := f.Impact.(*LinearImpact)
+	_, l2 := opts.Norm.(vecmath.L2)
+	var (
+		obj    optimize.Objective
+		anneal bool       // a declared non-convex FuncImpact also races annealing
+		cert   *certifier // nil unless a bound can be reported or served
+	)
+	if lin == nil && l2 {
+		obj.F = f.Impact.Eval
+		if gi, ok := f.Impact.(GradImpact); ok {
+			obj.Grad = gi.Gradient
+		}
+		if fi, ok := f.Impact.(*FuncImpact); ok {
+			obj.Convex, anneal = fi.Convex, !fi.Convex
+		}
+		if progress != nil || ctx.Done() != nil {
+			cert = newCertifier(f.Bounds, obj.Convex, progress)
+			// β^max is the one boundary approached from below, where the
+			// solver's halfspace bounds never fire: floor it with the
+			// cross-polytope certificate before any exact solve.
+			if obj.Convex && v0 < f.Bounds.Max && !math.IsInf(f.Bounds.Max, 1) {
+				optimize.CertifyLevelBelow(ctx, obj, p.Orig, f.Bounds.Max, opts.Solver, cert.raiser(0))
+			}
+		}
+	}
+
 	best := RadiusResult{Feature: f.Name, Radius: math.Inf(1), Kind: Unreachable, Method: MethodNone}
-	for _, side := range []struct {
+	pending := math.Inf(1) // the least certified bound of a side the deadline cut short
+	for i, side := range [2]struct {
 		beta float64
 		kind BoundKind
 	}{
@@ -200,52 +268,65 @@ func ComputeRadius(f Feature, p Perturbation, opts Options) (RadiusResult, error
 		if math.IsInf(side.beta, 0) {
 			continue // one-sided requirement
 		}
-		r, x, method, err := distanceToLevel(f.Impact, p.Orig, side.beta, opts)
-		if err != nil {
-			if errors.Is(err, optimize.ErrUnreachable) {
-				continue
-			}
+		var (
+			dist   float64
+			x      []float64
+			method Method
+			err    error
+		)
+		switch {
+		case lin != nil:
+			dist, x, method, err = linearDistance(lin, p.Orig, side.beta, opts.Norm)
+		case !l2:
+			err = ErrNormUnsupported
+		default:
+			dist, x, method, err = numericDistance(ctx, obj, anneal, p.Orig, side.beta, opts, cert.raiser(i))
+		}
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			// Undecided: its certified bound is all that is known of it.
+			pending = math.Min(pending, cert.bound(i))
+			continue
+		case errors.Is(err, context.Canceled):
+			return RadiusResult{}, err
+		case errors.Is(err, optimize.ErrUnreachable):
+			dist = math.Inf(1)
+		case err != nil:
 			return RadiusResult{}, &SolveError{Feature: f.Name, Kind: side.kind, Err: err}
 		}
-		if r < best.Radius {
-			best = RadiusResult{Feature: f.Name, Radius: r, Boundary: x, Kind: side.kind, Method: method}
+		cert.settle(i, dist)
+		if dist < best.Radius {
+			best = RadiusResult{Feature: f.Name, Radius: dist, Boundary: x, Kind: side.kind, Method: method}
 		}
 	}
-	return best, nil
+	if lin != nil && progress != nil && !math.IsInf(best.Radius, 1) {
+		progress(best.Radius) // a closed form is exact at once
+	}
+	if best.Radius <= pending {
+		// Nothing was cut short, or an exact side answers below every
+		// pending side's certified floor: the minimum is decided anyway.
+		return best, nil
+	}
+	return RadiusResult{Feature: f.Name, Radius: pending, Kind: LowerBound, Method: MethodAnytime}, nil
 }
 
-// validateRadiusInputs is the shared input validation of ComputeRadius
-// and ComputeRadiusAnytime, so both reject malformed inputs with
-// identical errors.
-func validateRadiusInputs(f Feature, p Perturbation) error {
-	if err := f.Validate(); err != nil {
-		return err
+// numericDistance is linearDistance for any other impact under ℓ₂: the
+// convex minimum-norm solver, streaming its halfspace bounds to onBound
+// (nil-safe), and with anneal set the annealing fallback too, keeping the
+// nearer boundary point. A context error from either solver is returned
+// as it is: a partial annealing run certifies nothing, and the SLP answer
+// alone could exceed the minimum annealing would have found.
+func numericDistance(ctx context.Context, obj optimize.Objective, anneal bool, orig []float64, beta float64, opts Options, onBound func(float64)) (float64, []float64, Method, error) {
+	res, err := optimize.MinNormToLevelSet(ctx, obj, orig, beta, opts.Solver, onBound)
+	if isContextErr(err) {
+		return 0, nil, MethodNone, err
 	}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if d := f.Impact.Dim(); d != len(p.Orig) {
-		return fmt.Errorf("core: feature %q impact dimension %d != perturbation dimension %d", f.Name, d, len(p.Orig))
-	}
-	return nil
-}
-
-// distanceToLevel dispatches on the impact type: exact dual-norm hyperplane
-// distance for affine impacts, convex solver (plus annealing fallback for
-// declared-non-convex impacts) otherwise.
-func distanceToLevel(imp Impact, orig []float64, beta float64, opts Options) (float64, []float64, Method, error) {
-	if lin, ok := imp.(*LinearImpact); ok {
-		return linearDistance(lin, orig, beta, opts.Norm)
-	}
-	if _, ok := opts.Norm.(vecmath.L2); !ok {
-		return 0, nil, MethodNone, ErrNormUnsupported
-	}
-	obj := objective(imp)
-	res, err := optimize.MinNormToLevelSet(obj, orig, beta, opts.Solver)
 	method := MethodConvex
-	if fi, ok := imp.(*FuncImpact); ok && !fi.Convex {
-		ares, aerr := optimize.AnnealMinDistance(obj, orig, beta, opts.Anneal)
+	if anneal {
+		ares, aerr := optimize.AnnealMinDistance(ctx, obj, orig, beta, opts.Anneal)
 		switch {
+		case isContextErr(aerr):
+			return 0, nil, MethodNone, aerr
 		case err != nil && aerr == nil:
 			res, err, method = ares, nil, MethodAnneal
 		case err == nil && aerr == nil && ares.Distance < res.Distance:
@@ -258,19 +339,74 @@ func distanceToLevel(imp Impact, orig []float64, beta float64, opts Options) (fl
 	return res.Distance, res.X, method, nil
 }
 
-// objective adapts a non-linear impact to the minimum-norm solver: its
-// gradient when it supplies one, and its declared convexity. Both
-// ComputeRadius and ComputeRadiusAnytime build their objective here, so
-// the two run the same search.
-func objective(imp Impact) optimize.Objective {
-	obj := optimize.Objective{F: imp.Eval}
-	if gi, ok := imp.(GradImpact); ok {
-		obj.Grad = gi.Gradient
+// isContextErr reports whether a solver error is the context's own
+// (deadline or cancellation) rather than a numeric failure.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+}
+
+// certifier gathers the certified lower bounds of one anytime solve, per
+// side (AtMax, AtMin): the best bound proven so far, replaced by the
+// side's exact distance (+Inf when unreachable) once it settles. A
+// one-sided requirement's missing side is +Inf from the start. Their
+// minimum bounds the radius from below, and progress, when set, hears
+// every increase of it.
+type certifier struct {
+	lower [2]float64
+	// convex: the certificates are sound only for a convex impact.
+	convex   bool
+	reported float64
+	progress func(lower float64)
+}
+
+func newCertifier(b Bounds, convex bool, progress func(lower float64)) *certifier {
+	c := &certifier{convex: convex, progress: progress}
+	if math.IsInf(b.Max, 0) {
+		c.lower[0] = math.Inf(1)
 	}
-	if fi, ok := imp.(*FuncImpact); ok {
-		obj.Convex = fi.Convex
+	if math.IsInf(b.Min, 0) {
+		c.lower[1] = math.Inf(1)
 	}
-	return obj
+	return c
+}
+
+// raiser returns the callback that raises side i's bound, or nil when
+// nothing can be certified (no certifier, or a non-convex impact).
+func (c *certifier) raiser(i int) func(lower float64) {
+	if c == nil || !c.convex {
+		return nil
+	}
+	return func(lower float64) {
+		if lower > c.lower[i] {
+			c.lower[i] = lower
+			c.emit()
+		}
+	}
+}
+
+// settle records side i's exact distance; a nil certifier ignores it.
+func (c *certifier) settle(i int, dist float64) {
+	if c != nil {
+		c.lower[i] = dist
+		c.emit()
+	}
+}
+
+// bound is side i's certified bound: 0, which always holds, without a
+// certifier.
+func (c *certifier) bound(i int) float64 {
+	if c == nil {
+		return 0
+	}
+	return c.lower[i]
+}
+
+// emit reports the combined bound to progress when it has grown.
+func (c *certifier) emit() {
+	if lb := math.Min(c.lower[0], c.lower[1]); c.progress != nil && lb > c.reported && !math.IsInf(lb, 1) {
+		c.reported = lb
+		c.progress(lb)
+	}
 }
 
 // linearDistance computes the exact distance from orig to the hyperplane

@@ -21,7 +21,7 @@ func EvaluateBatch(ctx context.Context, s *System, ms []Mapping, opts batch.Opti
 		if err != nil {
 			return err
 		}
-		a, err := batch.AnalyzeOne(batch.Job{Features: features, Perturbation: p}, opts)
+		a, err := batch.AnalyzeOneContext(ctx, batch.Job{Features: features, Perturbation: p}, opts)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fepia/internal/batch"
+	"fepia/internal/faults"
 	"fepia/internal/stats"
 )
 
@@ -52,6 +53,25 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits == 0 {
 		t.Fatalf("expected cross-mapping cache hits on the §4.3 population, got %+v", st)
+	}
+}
+
+// EvaluateBatch solves each mapping's features under the caller's
+// context, so what the context carries — here a fault injector with an
+// empty schedule — reaches every per-feature solve.
+func TestEvaluateBatchCarriesContext(t *testing.T) {
+	sys, err := GenerateSystem(stats.NewRNG(2003), PaperGenParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(5)
+	ms := []Mapping{RandomMapping(rng, sys), RandomMapping(rng, sys)}
+	script := faults.NewScript()
+	if _, err := EvaluateBatch(faults.With(context.Background(), script), sys, ms, batch.Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if script.Calls(faults.Solve) == 0 {
+		t.Fatal("no per-feature solve saw the context's fault injector")
 	}
 }
 

@@ -45,20 +45,16 @@ func DefaultAnnealOptions() AnnealOptions {
 // The paper sanctions exactly this kind of heuristic when the impact
 // functions are not convex.
 //
-// It returns ErrUnreachable when no sampled ray ever crosses the level set.
-func AnnealMinDistance(obj Objective, x0 []float64, target float64, opts AnnealOptions) (Result, error) {
-	return AnnealMinDistanceCtx(context.Background(), obj, x0, target, opts)
-}
-
-// AnnealMinDistanceCtx is AnnealMinDistance under a context: the
-// proposal loop polls ctx every few steps and, on expiry, returns
-// whatever it has found so far together with ctx.Err(). A partial
-// annealing run is NOT a certified answer of any kind — callers that
-// need rigour (the anytime mode) must discard it. With a background
-// context the proposal stream and result are bit-identical to
-// AnnealMinDistance.
-func AnnealMinDistanceCtx(ctx context.Context, obj Objective, x0 []float64, target float64, opts AnnealOptions) (Result, error) {
+// It returns ErrUnreachable when no sampled ray ever crosses the level
+// set, and an error for an empty x₀. The proposal loop polls ctx every
+// few steps and, on expiry, returns whatever it has found so far together
+// with ctx.Err(). A partial annealing run is NOT a certified answer of any
+// kind — callers that need rigour (the anytime mode) must discard it.
+func AnnealMinDistance(ctx context.Context, obj Objective, x0 []float64, target float64, opts AnnealOptions) (Result, error) {
 	n := len(x0)
+	if n == 0 {
+		return Result{}, errEmptyStart
+	}
 	rng := stats.NewRNG(opts.Seed)
 	f0 := obj.F(x0)
 	if math.Abs(f0-target) <= opts.Tol*math.Max(1, math.Abs(target)) {

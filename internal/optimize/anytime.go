@@ -9,7 +9,7 @@ import (
 
 // CertifyLevelBelow streams certified lower bounds on the ℓ₂ distance
 // from x₀ to the level set {f = target} for CONVEX f with f(x₀) < target
-// — the side the halfspace bound of MinNormToLevelSetCtx cannot certify.
+// — the side the halfspace bound of MinNormToLevelSet cannot certify.
 //
 // The certificate is geometric: if every vertex x₀ ± t·eᵢ of a scaled
 // cross-polytope satisfies f < target strictly, convexity keeps f

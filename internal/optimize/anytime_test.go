@@ -2,9 +2,12 @@ package optimize
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
+	"time"
 
 	"fepia/internal/vecmath"
 )
@@ -26,16 +29,21 @@ func sphereObjective() Objective {
 	}
 }
 
-// The bit-identity contract: with a background context and no callback,
-// the ctx-aware solver IS MinNormToLevelSet — same iterates, same answer,
-// down to the float bits.
+// The bit-identity contract: the certified bound stream and a context
+// that can expire only observe the solve, so under a deadline that never
+// arrives the solver runs the same iterates to the same answer as under
+// a background context, down to the float bits.
 func TestMinNormCtxBitIdentical(t *testing.T) {
 	objs := []Objective{affineObjective([]float64{2, -1, 3}), sphereObjective()}
-	starts := [][]float64{{1, 1, 1}, {1, 0, 0}}
-	targets := []float64{12, 25}
+	// Both levels are approached from above, where the bounds fire.
+	starts := [][]float64{{1, 1, 1}, {6, 0, 0}}
+	targets := []float64{-2, 25}
+	far, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 	for i := range objs {
-		plain, perr := MinNormToLevelSet(objs[i], starts[i], targets[i], DefaultOptions())
-		ctxed, cerr := MinNormToLevelSetCtx(context.Background(), objs[i], starts[i], targets[i], DefaultOptions(), nil)
+		plain, perr := MinNormToLevelSet(context.Background(), objs[i], starts[i], targets[i], DefaultOptions(), nil)
+		bounds := 0
+		ctxed, cerr := MinNormToLevelSet(far, objs[i], starts[i], targets[i], DefaultOptions(), func(float64) { bounds++ })
 		if (perr == nil) != (cerr == nil) {
 			t.Fatalf("case %d: errors diverge: %v vs %v", i, perr, cerr)
 		}
@@ -46,6 +54,9 @@ func TestMinNormCtxBitIdentical(t *testing.T) {
 			if math.Float64bits(plain.X[j]) != math.Float64bits(ctxed.X[j]) {
 				t.Fatalf("case %d: X[%d] %v != %v", i, j, plain.X[j], ctxed.X[j])
 			}
+		}
+		if bounds == 0 {
+			t.Fatalf("case %d: no bound was reported", i)
 		}
 	}
 }
@@ -61,7 +72,7 @@ func TestMinNormCtxBoundsMonotoneAndValid(t *testing.T) {
 	// true distance to {‖x‖²=25} is 1.
 	x0 = []float64{6, 0}
 	var bounds []float64
-	res, err := MinNormToLevelSetCtx(context.Background(), obj, x0, 25, DefaultOptions(),
+	res, err := MinNormToLevelSet(context.Background(), obj, x0, 25, DefaultOptions(),
 		func(lb float64) { bounds = append(bounds, lb) })
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +102,7 @@ func TestMinNormCtxExpired(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var bounds []float64
-	_, err := MinNormToLevelSetCtx(ctx, sphereObjective(), []float64{6, 0}, 25, DefaultOptions(),
+	_, err := MinNormToLevelSet(ctx, sphereObjective(), []float64{6, 0}, 25, DefaultOptions(),
 		func(lb float64) { bounds = append(bounds, lb) })
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -145,8 +156,8 @@ func TestCertifyLevelBelowOutside(t *testing.T) {
 	}
 }
 
-// AnnealMinDistanceCtx with a background context is bit-identical to
-// AnnealMinDistance, and an expired context surfaces ctx.Err.
+// AnnealMinDistance under a deadline that never arrives is bit-identical
+// to a background run, and an expired context surfaces ctx.Err.
 func TestAnnealCtx(t *testing.T) {
 	obj := Objective{F: func(x []float64) float64 {
 		// The W-shaped double well of the non-convex anneal tests.
@@ -154,8 +165,10 @@ func TestAnnealCtx(t *testing.T) {
 		return d*d*d*d - 8*d*d + x[1]*x[1]
 	}}
 	x0 := []float64{2, 0}
-	plain, perr := AnnealMinDistance(obj, x0, 5, DefaultAnnealOptions())
-	ctxed, cerr := AnnealMinDistanceCtx(context.Background(), obj, x0, 5, DefaultAnnealOptions())
+	far, cancelFar := context.WithTimeout(context.Background(), time.Hour)
+	defer cancelFar()
+	plain, perr := AnnealMinDistance(context.Background(), obj, x0, 5, DefaultAnnealOptions())
+	ctxed, cerr := AnnealMinDistance(far, obj, x0, 5, DefaultAnnealOptions())
 	if (perr == nil) != (cerr == nil) {
 		t.Fatalf("errors diverge: %v vs %v", perr, cerr)
 	}
@@ -165,7 +178,45 @@ func TestAnnealCtx(t *testing.T) {
 
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnnealMinDistanceCtx(expired, obj, x0, 5, DefaultAnnealOptions()); err != context.Canceled {
+	if _, err := AnnealMinDistance(expired, obj, x0, 5, DefaultAnnealOptions()); err != context.Canceled {
 		t.Fatalf("expired anneal err = %v, want context.Canceled", err)
+	}
+}
+
+// An empty operating point has no direction to search: both solvers
+// reject it at once instead of spinning on zero-norm draws or indexing
+// past the end of the point.
+func TestEmptyStartRejected(t *testing.T) {
+	konst := Objective{F: func([]float64) float64 { return 0 }}
+	for _, tc := range []struct {
+		name  string
+		solve func() error
+	}{
+		{"minnorm", func() error {
+			_, err := MinNormToLevelSet(context.Background(), konst, []float64{}, 1, DefaultOptions(), nil)
+			return err
+		}},
+		{"anneal", func() error {
+			_, err := AnnealMinDistance(context.Background(), konst, []float64{}, 1, DefaultAnnealOptions())
+			return err
+		}},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if rec := recover(); rec != nil {
+					done <- fmt.Errorf("panic: %v", rec)
+				}
+			}()
+			done <- tc.solve()
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, errEmptyStart) {
+				t.Errorf("%s: err = %v, want errEmptyStart", tc.name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: no answer within 5 s", tc.name)
+		}
 	}
 }

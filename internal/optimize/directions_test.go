@@ -9,7 +9,7 @@ import (
 	"fepia/internal/vecmath"
 )
 
-// freshDirections is the multistart of MinNormToLevelSetCtx before its
+// freshDirections is the multistart of MinNormToLevelSet before its
 // directions were memoised: a generator seeded per solve draws unit
 // directions until the gradient's two and the random ones make
 // restarts+2.

@@ -110,6 +110,10 @@ type Result struct {
 // robustness radius is +Inf).
 var ErrUnreachable = errors.New("optimize: level set unreachable from the starting point")
 
+// errEmptyStart rejects a zero-dimensional starting point, which neither
+// solver can draw a search direction for.
+var errEmptyStart = errors.New("optimize: empty starting point")
+
 // MinNormToLevelSet solves min ‖x − x₀‖₂ s.t. f(x) = target using
 // sequential linearisation:
 //
@@ -141,14 +145,6 @@ var ErrUnreachable = errors.New("optimize: level set unreachable from the starti
 //
 // If f(x₀) = target the distance is 0. The sign of f(x₀) − target selects
 // which side the boundary is approached from automatically.
-func MinNormToLevelSet(obj Objective, x0 []float64, target float64, opts Options) (Result, error) {
-	return MinNormToLevelSetCtx(context.Background(), obj, x0, target, opts, nil)
-}
-
-// MinNormToLevelSetCtx is MinNormToLevelSet under a context with an
-// optional stream of certified lower bounds. With a background context
-// and a nil callback it performs exactly the same evaluations in the
-// same order as MinNormToLevelSet, so the results are bit-identical.
 //
 // onBound, when non-nil, receives a monotonically increasing stream of
 // certified lower bounds on the true minimum distance, derived from the
@@ -163,7 +159,11 @@ func MinNormToLevelSet(obj Objective, x0 []float64, target float64, opts Options
 // When ctx expires mid-search, the best result found so far is returned
 // together with ctx.Err(): the Result is a usable upper bound (or zero
 // with Distance +Inf when nothing was found) but not certified optimal.
-func MinNormToLevelSetCtx(ctx context.Context, obj Objective, x0 []float64, target float64, opts Options, onBound func(lower float64)) (Result, error) {
+// An empty x₀ is an error: it has no direction to search along.
+func MinNormToLevelSet(ctx context.Context, obj Objective, x0 []float64, target float64, opts Options, onBound func(lower float64)) (Result, error) {
+	if len(x0) == 0 {
+		return Result{}, errEmptyStart
+	}
 	if opts.MaxIter <= 0 || opts.Tol <= 0 {
 		return Result{}, fmt.Errorf("optimize: invalid options %+v", opts)
 	}
@@ -310,7 +310,7 @@ const (
 var dirMemo atomic.Pointer[map[dirKey][][]float64]
 
 // boundTracker turns solver iterates into the monotone certified
-// lower-bound stream of MinNormToLevelSetCtx: it keeps the best
+// lower-bound stream of MinNormToLevelSet: it keeps the best
 // halfspace bound seen and reports only improvements.
 type boundTracker struct {
 	x0     []float64

@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -152,7 +153,7 @@ func TestMinNormAffineMatchesHyperplane(t *testing.T) {
 	a := []float64{2, -1, 3}
 	target := 12.0
 	x0 := []float64{1, 1, 1}
-	res, err := MinNormToLevelSet(affineObjective(a), x0, target, DefaultOptions())
+	res, err := MinNormToLevelSet(context.Background(), affineObjective(a), x0, target, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestMinNormSphereLevelSet(t *testing.T) {
 	obj := Objective{F: func(x []float64) float64 {
 		return x[0]*x[0] + x[1]*x[1]
 	}}
-	res, err := MinNormToLevelSet(obj, []float64{1, 0}, 25, DefaultOptions())
+	res, err := MinNormToLevelSet(context.Background(), obj, []float64{1, 0}, 25, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestMinNormFromAboveTheLevel(t *testing.T) {
 	obj := Objective{F: func(x []float64) float64 {
 		return x[0]*x[0] + x[1]*x[1]
 	}}
-	res, err := MinNormToLevelSet(obj, []float64{10, 0}, 25, DefaultOptions())
+	res, err := MinNormToLevelSet(context.Background(), obj, []float64{10, 0}, 25, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestMinNormConvexQuadratic(t *testing.T) {
 	obj := Objective{F: func(x []float64) float64 {
 		return x[0]*x[0] + 4*x[1]*x[1]
 	}}
-	res, err := MinNormToLevelSet(obj, []float64{0, 0}, 16, DefaultOptions())
+	res, err := MinNormToLevelSet(context.Background(), obj, []float64{0, 0}, 16, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestMinNormConvexQuadratic(t *testing.T) {
 
 func TestMinNormAtBoundaryAlready(t *testing.T) {
 	obj := affineObjective([]float64{1, 1})
-	res, err := MinNormToLevelSet(obj, []float64{3, 4}, 7, DefaultOptions())
+	res, err := MinNormToLevelSet(context.Background(), obj, []float64{3, 4}, 7, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestMinNormUnreachable(t *testing.T) {
 	obj := Objective{F: func(x []float64) float64 { return 1 }}
 	opts := DefaultOptions()
 	opts.RayMax = 1e3
-	if _, err := MinNormToLevelSet(obj, []float64{0, 0}, 5, opts); !errors.Is(err, ErrUnreachable) {
+	if _, err := MinNormToLevelSet(context.Background(), obj, []float64{0, 0}, 5, opts, nil); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -251,7 +252,7 @@ func TestMinNormSaturationPlateau(t *testing.T) {
 		}
 		return 1 / (mu - load)
 	}}
-	res, err := MinNormToLevelSet(obj, []float64{300, 200}, sla, DefaultOptions())
+	res, err := MinNormToLevelSet(context.Background(), obj, []float64{300, 200}, sla, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestRegulaFalsiPlateauBracket(t *testing.T) {
 
 func TestMinNormInvalidOptions(t *testing.T) {
 	obj := affineObjective([]float64{1})
-	if _, err := MinNormToLevelSet(obj, []float64{0}, 1, Options{}); err == nil {
+	if _, err := MinNormToLevelSet(context.Background(), obj, []float64{0}, 1, Options{}, nil); err == nil {
 		t.Errorf("zero options accepted")
 	}
 }
@@ -298,7 +299,7 @@ func TestAnnealMatchesConvexAnswer(t *testing.T) {
 	obj := Objective{F: func(x []float64) float64 {
 		return x[0]*x[0] + 4*x[1]*x[1]
 	}}
-	res, err := AnnealMinDistance(obj, []float64{0, 0}, 16, DefaultAnnealOptions())
+	res, err := AnnealMinDistance(context.Background(), obj, []float64{0, 0}, 16, DefaultAnnealOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestAnnealNonConvex(t *testing.T) {
 		b := (x[0]+1)*(x[0]+1) + x[1]*x[1]
 		return math.Min(a, b)
 	}}
-	res, err := AnnealMinDistance(obj, []float64{0, 0}, 0.25, DefaultAnnealOptions())
+	res, err := AnnealMinDistance(context.Background(), obj, []float64{0, 0}, 0.25, DefaultAnnealOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestAnnealNonConvex(t *testing.T) {
 
 func TestAnnealOnBoundaryAndUnreachable(t *testing.T) {
 	obj := affineObjective([]float64{1, 0})
-	res, err := AnnealMinDistance(obj, []float64{5, 0}, 5, DefaultAnnealOptions())
+	res, err := AnnealMinDistance(context.Background(), obj, []float64{5, 0}, 5, DefaultAnnealOptions())
 	if err != nil || res.Distance != 0 {
 		t.Errorf("on-boundary: %v, %v", res, err)
 	}
@@ -338,7 +339,7 @@ func TestAnnealOnBoundaryAndUnreachable(t *testing.T) {
 	opts := DefaultAnnealOptions()
 	opts.RayMax = 1e3
 	opts.Steps = 50
-	if _, err := AnnealMinDistance(konst, []float64{0, 0}, 5, opts); !errors.Is(err, ErrUnreachable) {
+	if _, err := AnnealMinDistance(context.Background(), konst, []float64{0, 0}, 5, opts); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("unreachable err = %v", err)
 	}
 }
@@ -347,11 +348,11 @@ func TestAnnealDeterministicForSeed(t *testing.T) {
 	obj := Objective{F: func(x []float64) float64 { return x[0]*x[0] + 4*x[1]*x[1] }}
 	o := DefaultAnnealOptions()
 	o.Steps = 500
-	a, err := AnnealMinDistance(obj, []float64{0, 0}, 16, o)
+	a, err := AnnealMinDistance(context.Background(), obj, []float64{0, 0}, 16, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AnnealMinDistance(obj, []float64{0, 0}, 16, o)
+	b, err := AnnealMinDistance(context.Background(), obj, []float64{0, 0}, 16, o)
 	if err != nil {
 		t.Fatal(err)
 	}

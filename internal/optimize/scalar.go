@@ -16,6 +16,11 @@
 //   - a simulated-annealing fallback for non-convex impact functions,
 //     which the paper explicitly permits ("heuristic techniques can be
 //     used to find near-optimal solutions").
+//
+// Each solver has one entry point, and it takes a context: on expiry it
+// stops with the best point found so far and ctx.Err(). For the anytime
+// mode, MinNormToLevelSet and CertifyLevelBelow also stream certified
+// lower bounds on the distance of a convex f.
 package optimize
 
 import (

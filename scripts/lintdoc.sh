@@ -15,7 +15,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PKGS="internal/vecmath internal/batch internal/kernel"
+PKGS="internal/vecmath internal/batch internal/kernel internal/core internal/optimize"
 
 fail=0
 for pkg in $PKGS; do
