@@ -35,7 +35,7 @@ fmtcheck:
 
 # lintdoc: fail when an exported identifier in the audited packages
 # (internal/vecmath, internal/batch, internal/kernel, internal/core,
-# internal/optimize) has no doc comment.
+# internal/optimize, internal/convexfn, internal/spec) has no doc comment.
 lintdoc:
 	./scripts/lintdoc.sh
 

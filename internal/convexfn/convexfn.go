@@ -10,6 +10,7 @@ package convexfn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -98,7 +99,7 @@ func (t Term) Eval(lambda []float64) float64 {
 		if x <= 0 {
 			return 0
 		}
-		return t.Coeff * math.Pow(x, t.P)
+		return t.Coeff * pow(x, t.P)
 	case ExpTerm:
 		return t.Coeff * (math.Exp(t.P*x) - 1)
 	case XLogXTerm:
@@ -124,7 +125,7 @@ func (t Term) Deriv(lambda []float64) float64 {
 			}
 			return 0
 		}
-		return t.Coeff * t.P * math.Pow(x, t.P-1)
+		return t.Coeff * t.P * pow(x, t.P-1)
 	case ExpTerm:
 		return t.Coeff * t.P * math.Exp(t.P*x)
 	case XLogXTerm:
@@ -135,6 +136,27 @@ func (t Term) Deriv(lambda []float64) float64 {
 	default:
 		return math.NaN()
 	}
+}
+
+// pow returns x^p for x > 0. The exponents 0 to 3 (power terms with
+// P ∈ {1, 2, 3} and their derivatives) are multiplied out while x lies
+// within [2⁻³⁰⁰, 2³⁰⁰]: there every product is a normal float, and the
+// result is bit for bit math.Pow's, whose repeated squaring rounds the
+// same products. Anything else goes to math.Pow.
+func pow(x, p float64) float64 {
+	if x >= 0x1p-300 && x <= 0x1p300 {
+		switch p {
+		case 0:
+			return 1
+		case 1:
+			return x
+		case 2:
+			return x * x
+		case 3:
+			return x * x * x
+		}
+	}
+	return math.Pow(x, p)
 }
 
 // String renders the term in the paper's notation, e.g. "3.2λ1^2".
@@ -191,6 +213,17 @@ func (c Complexity) Gradient(dst, lambda []float64) []float64 {
 		dst[t.Index] += t.Deriv(lambda)
 	}
 	return dst
+}
+
+// Support returns the sorted distinct load indices the terms read: the
+// only coordinates the complexity depends on.
+func (c Complexity) Support() []int {
+	sup := make([]int, len(c))
+	for i, t := range c {
+		sup[i] = t.Index
+	}
+	slices.Sort(sup)
+	return slices.Compact(sup)
 }
 
 // IsLinear reports whether every term is linear, in which case the

@@ -185,3 +185,56 @@ func TestScaleLinearityAcrossKinds(t *testing.T) {
 		t.Errorf("Scale is not linear: %v vs %v", after, 2.5*before)
 	}
 }
+
+// TestIntegerPowersMatchMathPow holds the multiplied-out powers of
+// PowerTerm to the math.Pow formulas bit for bit: Eval and Deriv for
+// P = 1, 2 and 3 over a log-uniform sweep of both signs from the
+// subnormals to the overflow range, the edges of pow's multiplying range
+// and the special values.
+func TestIntegerPowersMatchMathPow(t *testing.T) {
+	wantEval := func(tm Term, x float64) float64 {
+		if x <= 0 {
+			return 0
+		}
+		return tm.Coeff * math.Pow(x, tm.P)
+	}
+	wantDeriv := func(tm Term, x float64) float64 {
+		if x <= 0 {
+			if tm.P == 1 {
+				return tm.Coeff
+			}
+			return 0
+		}
+		return tm.Coeff * tm.P * math.Pow(x, tm.P-1)
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	xs := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, edge := range []float64{0x1p-300, 0x1p300, 0x1p-340, 0x1p340, 0x1p-511, 0x1p511} {
+		xs = append(xs, edge, math.Nextafter(edge, 0), math.Nextafter(edge, math.Inf(1)))
+	}
+	rng := stats.NewRNG(1)
+	for i := 0; i < 400000; i++ {
+		x := math.Exp(-745 + 1455*rng.Float64())
+		if i%2 == 1 {
+			x = -x
+		}
+		xs = append(xs, x)
+	}
+	lambda := make([]float64, 1)
+	for _, p := range []float64{1, 2, 3} {
+		for _, coeff := range []float64{1, 1.7} {
+			tm := Term{Kind: PowerTerm, Coeff: coeff, P: p}
+			for _, x := range xs {
+				lambda[0] = x
+				if got, want := tm.Eval(lambda), wantEval(tm, x); !same(got, want) {
+					t.Fatalf("%v at %v: Eval %v, math.Pow gives %v", tm, x, got, want)
+				}
+				if got, want := tm.Deriv(lambda), wantDeriv(tm, x); !same(got, want) {
+					t.Fatalf("%v at %v: Deriv %v, math.Pow gives %v", tm, x, got, want)
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"fepia/internal/optimize"
 	"fepia/internal/vecmath"
 )
 
@@ -50,13 +51,19 @@ type Feature struct {
 	Bounds Bounds
 }
 
-// Validate checks the feature is analysable.
+// Validate checks the feature is analysable: it has an impact, its
+// bounds are valid, and a FuncImpact's Support is well formed.
 func (f Feature) Validate() error {
 	if f.Impact == nil {
 		return fmt.Errorf("core: feature %q has no impact function", f.Name)
 	}
 	if err := f.Bounds.Validate(); err != nil {
 		return fmt.Errorf("core: feature %q: %w", f.Name, err)
+	}
+	if fi, ok := f.Impact.(*FuncImpact); ok {
+		if err := optimize.CheckSupport(fi.Support, fi.N); err != nil {
+			return fmt.Errorf("core: feature %q: %w", f.Name, err)
+		}
 	}
 	return nil
 }

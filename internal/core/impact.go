@@ -118,8 +118,20 @@ type FuncImpact struct {
 	// with no canonical encoding: the radius cache then never memoises
 	// the impact and solves it on every call, which is always safe.
 	// Callers that set it own the contract: equal fingerprints MUST
-	// imply identical F (and Grad).
+	// imply identical F (and Grad), Support and Monotone.
 	Fingerprint []byte
+	// Support, optional, lists in increasing order the coordinates of π
+	// that F reads. The convex solver then searches only those
+	// coordinates, since Eq. 1's minimiser never moves the others
+	// (optimize.Objective.Support). Empty means F may read every
+	// coordinate; a list that is not strictly increasing within [0, N)
+	// fails validation.
+	Support []int
+	// Monotone declares F non-decreasing in every coordinate, so the
+	// solvers skip the searches such an F can only fail
+	// (optimize.Objective.Monotone). Like Convex, it is the caller's
+	// contract: a wrong declaration gives wrong radii.
+	Monotone bool
 }
 
 // Eval invokes F.

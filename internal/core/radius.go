@@ -244,6 +244,7 @@ func ComputeRadiusAnytime(ctx context.Context, f Feature, p Perturbation, opts O
 		}
 		if fi, ok := f.Impact.(*FuncImpact); ok {
 			obj.Convex, anneal = fi.Convex, !fi.Convex
+			obj.Support, obj.Monotone = fi.Support, fi.Monotone
 		}
 		if progress != nil || ctx.Done() != nil {
 			cert = newCertifier(f.Bounds, obj.Convex, progress)

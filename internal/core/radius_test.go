@@ -135,3 +135,21 @@ func TestComputeRadiusLinearAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A FuncImpact whose Support is not strictly increasing within [0, N)
+// is a malformed feature: ComputeRadius rejects it as a validation error
+// before any solve, not as an engine failure.
+func TestComputeRadiusMalformedSupport(t *testing.T) {
+	p := Perturbation{Name: "π", Orig: []float64{1, 0}}
+	for _, support := range [][]int{{1, 0}, {1, 1}, {2}, {-1}} {
+		f := sphereFeature(25)
+		fi := *f.Impact.(*FuncImpact)
+		fi.Support = support
+		f.Impact = &fi
+		_, err := ComputeRadius(f, p, Options{})
+		var se *SolveError
+		if err == nil || errors.As(err, &se) {
+			t.Errorf("support %v: err = %v, want a validation error", support, err)
+		}
+	}
+}

@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"fepia/internal/convexfn"
 	"fepia/internal/core"
@@ -29,14 +32,18 @@ type termsCase struct {
 	evals *int
 }
 
-// newTermsCase wraps c as a convex FuncImpact whose F counts its calls.
+// newTermsCase wraps c as a convex FuncImpact whose F counts its calls,
+// declaring its support and monotonicity as internal/spec's terms
+// builder does, so the solves below take the served path.
 func newTermsCase(c convexfn.Complexity, orig []float64, bounds core.Bounds) termsCase {
 	evals := new(int)
 	f := core.Feature{Name: "queue", Bounds: bounds, Impact: &core.FuncImpact{
-		N:      len(orig),
-		F:      func(x []float64) float64 { *evals++; return c.Eval(x) },
-		Grad:   c.Gradient,
-		Convex: true,
+		N:        len(orig),
+		F:        func(x []float64) float64 { *evals++; return c.Eval(x) },
+		Grad:     c.Gradient,
+		Convex:   true,
+		Support:  c.Support(),
+		Monotone: true,
 	}}
 	return termsCase{f: f, p: core.Perturbation{Name: "lambda", Orig: orig}, c: c, evals: evals}
 }
@@ -103,18 +110,24 @@ func checkTermsRadius(t *testing.T, name string, tc termsCase, res core.RadiusRe
 	}
 }
 
+// termsOracleSet is the fixed terms set plus two features on its first
+// case's impact that bind at β^min, approached from above: one with only
+// that bound, and a two-sided one nearer its lower bound than its upper.
+func termsOracleSet() []termsCase {
+	cases := termsSet(termsSetSeed, termsSetSize)
+	base := cases[0]
+	v0 := base.c.Eval(base.p.Orig)
+	return append(cases,
+		newTermsCase(base.c, base.p.Orig, core.NoMax(0.5*v0)),
+		newTermsCase(base.c, base.p.Orig, core.Bounds{Min: 0.7 * v0, Max: 1.4 * v0}))
+}
+
 // Non-linear terms radii get the same independent check as linear ones:
 // every convex_zipf-shaped radius is verified by its witness and by Monte
 // Carlo sampling, together with a bound approached from above and a
 // two-sided feature whose nearer side decides the radius.
 func TestTermsRadiiOracle(t *testing.T) {
-	cases := termsSet(termsSetSeed, termsSetSize)
-	base := cases[0]
-	v0 := base.c.Eval(base.p.Orig)
-	cases = append(cases,
-		newTermsCase(base.c, base.p.Orig, core.NoMax(0.5*v0)),
-		newTermsCase(base.c, base.p.Orig, core.Bounds{Min: 0.7 * v0, Max: 1.4 * v0}))
-	for i, tc := range cases {
+	for i, tc := range termsOracleSet() {
 		name := fmt.Sprintf("case %d", i)
 		res, err := core.ComputeRadius(tc.f, tc.p, core.Options{})
 		if err != nil {
@@ -135,7 +148,7 @@ func TestTermsRadiiOracle(t *testing.T) {
 // termsEvalBudget pins the mean impact evaluations per convex radius on
 // the fixed terms set. The count is deterministic, so any change to the
 // solver's search that adds evaluations shows here.
-const termsEvalBudget = 630
+const termsEvalBudget = 320
 
 func TestTermsRadiusEvaluations(t *testing.T) {
 	cases := termsSet(termsSetSeed, termsSetSize)
@@ -172,4 +185,111 @@ func BenchmarkTermsRadius(b *testing.B) {
 		total += *tc.evals
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "evals/op")
+}
+
+// declared returns f with its FuncImpact's Support and Monotone replaced.
+func declared(f core.Feature, support []int, monotone bool) core.Feature {
+	fi := *f.Impact.(*core.FuncImpact)
+	fi.Support, fi.Monotone = support, monotone
+	f.Impact = &fi
+	return f
+}
+
+// sameRadius reports whether two radius results agree bit for bit,
+// witness included.
+func sameRadius(a, b core.RadiusResult) bool {
+	return math.Float64bits(a.Radius) == math.Float64bits(b.Radius) && a.Kind == b.Kind &&
+		slices.EqualFunc(a.Boundary, b.Boundary, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// Declaring an impact's support and monotonicity changes where the solver
+// searches, not what it finds. Monotone only skips rays that cannot reach
+// the level, so turning it off changes no bit. Solving in the support
+// instead of the whole space retraces each ray's path up to rounding, so
+// a feature binding at a bound approached from below keeps its radius to
+// 1e-13 relative. Approached from above, both paths stall at the x ≤ 0
+// kink of the power and xlogx terms with the same KKT residual, so those
+// radii are held only to TestTermsRadiiOracle's checks.
+func TestTermsSupportEquivalence(t *testing.T) {
+	worst := 0.0
+	for i, tc := range termsOracleSet() {
+		served, err := core.ComputeRadius(tc.f, tc.p, core.Options{})
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		fi := tc.f.Impact.(*core.FuncImpact)
+		unmono, err := core.ComputeRadius(declared(tc.f, fi.Support, false), tc.p, core.Options{})
+		if err != nil {
+			t.Fatalf("case %d without Monotone: %v", i, err)
+		}
+		if !sameRadius(served, unmono) {
+			t.Errorf("case %d: radius %v (%v) with Monotone, %v (%v) without", i, served.Radius, served.Kind, unmono.Radius, unmono.Kind)
+		}
+		full, err := core.ComputeRadius(declared(tc.f, nil, false), tc.p, core.Options{})
+		if err != nil {
+			t.Fatalf("case %d undeclared: %v", i, err)
+		}
+		if served.Kind != full.Kind {
+			t.Fatalf("case %d: binds at %v in the support, %v in the whole space", i, served.Kind, full.Kind)
+		}
+		for j, x := range served.Boundary {
+			if _, read := slices.BinarySearch(fi.Support, j); !read && math.Float64bits(x) != math.Float64bits(tc.p.Orig[j]) {
+				t.Errorf("case %d: witness moves unread coordinate %d from %v to %v", i, j, tc.p.Orig[j], x)
+			}
+		}
+		if served.Kind != core.AtMax {
+			continue
+		}
+		rel := math.Abs(served.Radius-full.Radius) / full.Radius
+		worst = math.Max(worst, rel)
+		if rel > 1e-13 {
+			t.Errorf("case %d: radius %.17g in the support, %.17g in the whole space (%.2g relative)", i, served.Radius, full.Radius, rel)
+		}
+	}
+	t.Logf("largest relative radius change from below: %.3g", worst)
+}
+
+// termsAnytimeEvalBudget pins the mean impact evaluations per convex
+// radius on the fixed terms set when a deadline turns certification on.
+const termsAnytimeEvalBudget = 650
+
+// Under a deadline every convex radius is certified as well as solved:
+// the cross-polytope certificate probes the loads the impact reads at
+// each scale before the exact solve. Far from the deadline the answer is
+// the plain solve's bit for bit, every streamed bound is at most the
+// exact radius, and the probes stay within termsAnytimeEvalBudget.
+func TestTermsAnytimeEvaluations(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	cases := termsSet(termsSetSeed, termsSetSize)
+	total := 0
+	for i, tc := range cases {
+		exact, err := core.ComputeRadius(tc.f, tc.p, core.Options{})
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		*tc.evals = 0
+		var bounds []float64
+		got, err := core.ComputeRadiusAnytime(ctx, tc.f, tc.p, core.Options{}, func(lower float64) { bounds = append(bounds, lower) })
+		if err != nil {
+			t.Fatalf("case %d under a deadline: %v", i, err)
+		}
+		total += *tc.evals
+		if !sameRadius(got, exact) {
+			t.Errorf("case %d: radius %v (%v) under a deadline, %v (%v) without", i, got.Radius, got.Kind, exact.Radius, exact.Kind)
+		}
+		if len(bounds) == 0 {
+			t.Errorf("case %d: no bound streamed", i)
+		}
+		for _, lower := range bounds {
+			if lower > exact.Radius {
+				t.Errorf("case %d: streamed bound %.17g exceeds the radius %.17g", i, lower, exact.Radius)
+			}
+		}
+	}
+	mean := float64(total) / float64(len(cases))
+	t.Logf("%.1f impact evaluations per certified radius", mean)
+	if mean > termsAnytimeEvalBudget {
+		t.Errorf("%.1f impact evaluations per certified radius, budget %d", mean, termsAnytimeEvalBudget)
+	}
 }

@@ -64,7 +64,7 @@ func AnnealMinDistance(ctx context.Context, obj Objective, x0 []float64, target 
 	// The first crossing along a ray of a non-convex f depends on where
 	// the bracket starts, so the ray searches take no hint and always
 	// double up from rayT0.
-	rays := newRaySearch(obj, x0, f0, target, opts.Tol, opts.RayMax)
+	rays := newRaySearch(subspace{obj: obj, orig: x0}, x0, make([]float64, n), f0, target, opts.Tol, opts.RayMax)
 	energy := func(u []float64) (float64, []float64) {
 		t, _, err := rays.crossing(u, 0)
 		if err != nil {

@@ -17,31 +17,48 @@ import (
 // polytope sits on a vertex), so the level set cannot enter the ball of
 // radius t/√n inscribed in it. No perturbation smaller than t/√n can
 // reach the level set, making each safe probe scale t a rigorous bound
-// at the cost of 2n evaluations.
+// at the cost of 2n evaluations. With Objective.Support the polytope
+// spans only the m coordinates f reads: the level set is a cylinder over
+// them, so a safe scale certifies t/√m for 2m evaluations. With
+// Objective.Monotone the vertices x₀ − t·eᵢ, where a non-decreasing f is
+// at most f(x₀), are safe without an evaluation.
 //
 // The search halves t until the smallest polytope is safe, doubles while
 // safety holds, then bisects between the last safe and first unsafe
 // scale, reporting every improvement through onBound (nil-safe) in
-// increasing order. It returns the best bound found — 0 when even the
-// smallest probe is unsafe, f is not below target at x₀, or ctx expired
-// before the first certificate. The bound stream stops (and the best so
-// far is returned) as soon as ctx expires.
+// increasing order. The scales, and their cap RayMax·(1 + ‖x₀‖), grow
+// with the full x₀. It returns the best bound found — 0 when even the
+// smallest probe is unsafe, f is not below target at x₀, the Support is
+// malformed, or ctx expired before the first certificate. The bound
+// stream stops (and the best so far is returned) as soon as ctx expires.
 func CertifyLevelBelow(ctx context.Context, obj Objective, x0 []float64, target float64, opts Options, onBound func(lower float64)) float64 {
 	n := len(x0)
-	if n == 0 || !(obj.F(x0) < target) {
+	sup, err := obj.reduced(n)
+	if n == 0 || err != nil || !(obj.F(x0) < target) {
 		return 0
 	}
-	inv := 1 / math.Sqrt(float64(n))
+	m := n
+	if sup != nil {
+		m = len(sup)
+	}
+	inv := 1 / math.Sqrt(float64(m))
 	probe := vecmath.Clone(x0)
+	// below reports whether f stays below target with coordinate i moved
+	// by d; NaN counts as not below.
+	below := func(i int, d float64) bool {
+		probe[i] = x0[i] + d
+		v := obj.F(probe)
+		probe[i] = x0[i]
+		return v < target
+	}
 	safe := func(t float64) bool {
-		for i := range x0 {
-			for _, s := range [2]float64{t, -t} {
-				probe[i] = x0[i] + s
-				v := obj.F(probe)
-				probe[i] = x0[i]
-				if !(v < target) { // NaN counts as unsafe
-					return false
-				}
+		for k := 0; k < m; k++ {
+			i := k
+			if sup != nil {
+				i = sup[k]
+			}
+			if !below(i, t) || !obj.Monotone && !below(i, -t) {
+				return false
 			}
 		}
 		return true

@@ -24,6 +24,41 @@ type Objective struct {
 	// doubling up from a tiny step; that shortcut is only sound when f is
 	// convex.
 	Convex bool
+	// Support, optional, lists in increasing order the coordinates f
+	// reads: f(x) depends on x only through them. The minimum-norm solver
+	// and CertifyLevelBelow then search only those coordinates, since
+	// moving any other one adds distance without changing f. Empty means
+	// f may read every coordinate. A list that is not strictly increasing
+	// within [0, len(x₀)) is an error (CheckSupport).
+	Support []int
+	// Monotone declares f non-decreasing in every coordinate. The solvers
+	// then skip, without evaluating f, every search a non-decreasing f can
+	// only fail: a starting ray with no component toward the level, and a
+	// cross-polytope vertex below x₀ when certifying from below.
+	Monotone bool
+}
+
+// CheckSupport reports whether support is a valid Objective.Support for
+// an n-dimensional x₀: strictly increasing, within [0, n).
+func CheckSupport(support []int, n int) error {
+	for k, i := range support {
+		if i < 0 || i >= n || k > 0 && i <= support[k-1] {
+			return fmt.Errorf("optimize: support %v is not strictly increasing within [0,%d)", support, n)
+		}
+	}
+	return nil
+}
+
+// reduced returns the validated Support, or nil when the search must
+// cover every coordinate: no support given, or one that lists all n.
+func (o Objective) reduced(n int) ([]int, error) {
+	if err := CheckSupport(o.Support, n); err != nil {
+		return nil, err
+	}
+	if len(o.Support) == 0 || len(o.Support) == n {
+		return nil, nil
+	}
+	return o.Support, nil
 }
 
 // Gradient returns ∇f(x), using the analytic gradient when available and
@@ -146,6 +181,18 @@ var errEmptyStart = errors.New("optimize: empty starting point")
 // If f(x₀) = target the distance is 0. The sign of f(x₀) − target selects
 // which side the boundary is approached from automatically.
 //
+// With Objective.Support shorter than x₀ the solve runs in the
+// |Support|-dimensional space of the coordinates f reads, where Eq. 1's
+// minimiser lies: every other coordinate stays at x₀, and the witness is
+// x₀ with the support's coordinates replaced. The random restart
+// directions are the full-space ones projected onto the support and
+// renormalised, so each ray retraces its full-space path up to rounding;
+// RayMax and the tolerances still scale with the full x₀. With
+// Objective.Monotone, a starting ray with no component toward the level
+// (none positive from below, none negative from above) is skipped
+// unevaluated: a non-decreasing f can only fail it, so the answer is bit
+// for bit the same.
+//
 // onBound, when non-nil, receives a monotonically increasing stream of
 // certified lower bounds on the true minimum distance, derived from the
 // supporting-halfspace inequality at each iterate x with gradient g:
@@ -159,7 +206,7 @@ var errEmptyStart = errors.New("optimize: empty starting point")
 // When ctx expires mid-search, the best result found so far is returned
 // together with ctx.Err(): the Result is a usable upper bound (or zero
 // with Distance +Inf when nothing was found) but not certified optimal.
-// An empty x₀ is an error: it has no direction to search along.
+// An empty x₀ or a malformed Support is an error.
 func MinNormToLevelSet(ctx context.Context, obj Objective, x0 []float64, target float64, opts Options, onBound func(lower float64)) (Result, error) {
 	if len(x0) == 0 {
 		return Result{}, errEmptyStart
@@ -167,38 +214,34 @@ func MinNormToLevelSet(ctx context.Context, obj Objective, x0 []float64, target 
 	if opts.MaxIter <= 0 || opts.Tol <= 0 {
 		return Result{}, fmt.Errorf("optimize: invalid options %+v", opts)
 	}
+	sup, err := obj.reduced(len(x0))
+	if err != nil {
+		return Result{}, err
+	}
 	f0 := obj.F(x0)
 	scale := math.Max(1, math.Abs(target))
 	if math.Abs(f0-target) <= opts.Tol*scale {
 		return Result{X: vecmath.Clone(x0), Distance: 0, Converged: true}, nil
 	}
 
-	n := len(x0)
+	s := newSolver(obj, sup, x0, f0, target, opts)
 	best := Result{Distance: math.Inf(1)}
 	totalIter := 0
 
 	// Initial search directions: ±gradient at x₀, then random unit vectors.
-	grad0 := obj.Gradient(nil, x0, opts.GradStep)
-	var track *boundTracker
+	grad0 := s.gradient(s.grad0, s.x0)
 	if onBound != nil {
-		track = &boundTracker{x0: x0, target: target, report: onBound}
+		s.track = &boundTracker{x0: s.x0, target: target, report: onBound}
 		// The operating point itself is the first iterate: its halfspace
 		// bound costs nothing extra and certifies before any ray search.
-		track.observe(x0, grad0, f0, vecmath.Euclidean(grad0))
+		s.track.observe(s.x0, grad0, f0, vecmath.Euclidean(grad0))
 	}
-	dirs := make([][]float64, 0, opts.Restarts+2)
-	if g, norm := vecmath.Normalize(nil, grad0); norm > 0 {
-		dirs = append(dirs, g, vecmath.Scale(nil, -1, g))
-	}
-	if k := opts.Restarts + 2 - len(dirs); k > 0 {
-		dirs = append(dirs, restartDirections(opts.Seed, n, opts.Restarts)[:k]...)
-	}
-
-	s := newSolver(obj, x0, f0, target, opts, track)
-	bestX := make([]float64, n)
-	for _, dir := range dirs {
+	for _, dir := range s.startDirections(grad0) {
 		if ctx.Err() != nil {
 			break
+		}
+		if obj.Monotone && !s.towardLevel(dir) {
+			continue
 		}
 		// Estimate the crossing by the linearised step along dir, or, when
 		// f does not head for the level that way, by the best distance so
@@ -211,18 +254,21 @@ func MinNormToLevelSet(ctx context.Context, obj Objective, x0 []float64, target 
 		if err != nil {
 			continue
 		}
-		vecmath.AddScaled(s.x, x0, t, dir)
+		vecmath.AddScaled(s.x, s.x0, t, dir)
 		res := s.refine(ctx, ft)
 		totalIter += res.Iterations
 		if res.Distance < best.Distance {
 			best = res
-			best.X = append(bestX[:0], res.X...)
+			best.X = append(s.best[:0], res.X...)
 		}
 		if best.Converged && best.Distance == 0 {
 			break
 		}
 	}
 	best.Iterations = totalIter
+	if !math.IsInf(best.Distance, 1) {
+		best.X = s.embed(best.X)
+	}
 	if cerr := ctx.Err(); cerr != nil {
 		if math.IsInf(best.Distance, 1) {
 			return Result{}, cerr
@@ -338,11 +384,74 @@ func (t *boundTracker) observe(x, grad []float64, fx, gnorm float64) {
 // which a warm bracket stops halving toward x₀.
 const rayT0 = 1e-6
 
-// raySearch finds where rays x₀ + t·dir (t > 0, ‖dir‖ = 1) first meet the
-// level set f = target. One serves a whole solve: it evaluates f(x₀) once
-// and writes every probe into the same scratch point.
+// subspace is the space one solve searches: the coordinates in sup, or
+// every coordinate when sup is nil. Its points hold only those
+// coordinates; f and gradient scatter them into full, a scratch copy of
+// x₀, so F and Grad always see a whole point whose other coordinates
+// stay at x₀.
+type subspace struct {
+	obj Objective
+	// orig is the full starting point x₀.
+	orig []float64
+	sup  []int
+	// full and gfull are the full-length scratch point and gradient of a
+	// support; nil without one.
+	full, gfull []float64
+	// h is Options.GradStep.
+	h float64
+}
+
+// f evaluates the objective at the subspace point y.
+func (p *subspace) f(y []float64) float64 {
+	if p.sup == nil {
+		return p.obj.F(y)
+	}
+	for k, i := range p.sup {
+		p.full[i] = y[k]
+	}
+	return p.obj.F(p.full)
+}
+
+// gradient stores the subspace part of ∇f(y) in dst and returns it.
+// Without an analytic gradient, the central differences run over the
+// subspace's own coordinates only.
+func (p *subspace) gradient(dst, y []float64) []float64 {
+	if p.sup == nil {
+		return p.obj.Gradient(dst, y, p.h)
+	}
+	if p.obj.Grad == nil {
+		return Objective{F: p.f}.Gradient(dst, y, p.h)
+	}
+	for k, i := range p.sup {
+		p.full[i] = y[k]
+	}
+	p.gfull = p.obj.Grad(p.gfull, p.full)
+	for k, i := range p.sup {
+		dst[k] = p.gfull[i]
+	}
+	return dst
+}
+
+// embed returns a new full-length copy of the subspace point y: x₀ with
+// the support's coordinates taken from y.
+func (p *subspace) embed(y []float64) []float64 {
+	if p.sup == nil {
+		return vecmath.Clone(y)
+	}
+	x := vecmath.Clone(p.orig)
+	for k, i := range p.sup {
+		x[i] = y[k]
+	}
+	return x
+}
+
+// raySearch finds where rays x₀ + t·dir (t > 0, ‖dir‖ = 1) of a subspace
+// first meet the level set f = target. One serves a whole solve: it
+// evaluates f(x₀) once and writes every probe into the same scratch
+// point.
 type raySearch struct {
-	obj    Objective
+	subspace
+	// x0 is x₀ in the subspace's coordinates.
 	x0     []float64
 	target float64
 	// sign is +1 when the level is approached from below (f(x₀) < target)
@@ -350,17 +459,18 @@ type raySearch struct {
 	sign, s0 float64
 	// scale is max(1, |target|); tol = Tol·scale is the root tolerance.
 	scale, tol float64
-	// rayMax bounds t: Options.RayMax·(1 + ‖x₀‖).
+	// rayMax bounds t: Options.RayMax·(1 + ‖x₀‖), of the full x₀.
 	rayMax  float64
 	dir, pt []float64
 }
 
-// newRaySearch prepares the ray searches of one solve, given f0 = f(x₀)
-// and the relative tolerance and excursion bound of Options.Tol and
-// Options.RayMax.
-func newRaySearch(obj Objective, x0 []float64, f0, target, tol, rayMax float64) raySearch {
-	r := raySearch{obj: obj, x0: x0, target: target, sign: 1, pt: make([]float64, len(x0))}
-	r.rayMax = rayMax * (1 + vecmath.Euclidean(x0))
+// newRaySearch prepares the ray searches of one solve in sp from x0, sp's
+// starting point in its own coordinates, given f0 = f(x₀), a scratch point
+// pt of x0's length, and the relative tolerance and excursion bound of
+// Options.Tol and Options.RayMax.
+func newRaySearch(sp subspace, x0, pt []float64, f0, target, tol, rayMax float64) raySearch {
+	r := raySearch{subspace: sp, x0: x0, target: target, sign: 1, pt: pt}
+	r.rayMax = rayMax * (1 + vecmath.Euclidean(sp.orig))
 	if f0 > target {
 		r.sign = -1
 	}
@@ -370,11 +480,23 @@ func newRaySearch(obj Objective, x0 []float64, f0, target, tol, rayMax float64) 
 	return r
 }
 
+// towardLevel reports whether dir has a component toward the level: a
+// positive one from below, a negative one from above. Along a ray with
+// none, a non-decreasing f never nears the level.
+func (r *raySearch) towardLevel(dir []float64) bool {
+	for _, d := range dir {
+		if r.sign*d > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // s is sign·(f(x₀ + t·dir) − target): negative at t = 0 and ≥ 0 once the
 // ray has reached the level set.
 func (r *raySearch) s(t float64) float64 {
 	vecmath.AddScaled(r.pt, r.x0, t, r.dir)
-	return r.sign * (r.obj.F(r.pt) - r.target)
+	return r.sign * (r.f(r.pt) - r.target)
 }
 
 // crossing returns the smallest t > 0 with f(x₀ + t·dir) = target, and f
@@ -448,19 +570,81 @@ type solver struct {
 	opts  Options
 	track *boundTracker
 	// x is the current boundary point; next is the candidate the ray
-	// search retracts to. The rest hold intermediate vectors.
-	x, next, grad, proj, diff, u []float64
+	// search retracts to; best keeps the best point found.
+	x, next, best []float64
+	// grad0 is ∇f(x₀), g and ng are its two unit directions, restarts
+	// holds the restart directions projected onto a support, and dirs
+	// lists the starting rays.
+	grad0, g, ng, restarts []float64
+	dirs                   [][]float64
+	// The rest hold intermediate vectors.
+	grad, proj, diff, u []float64
 }
 
-func newSolver(obj Objective, x0 []float64, f0, target float64, opts Options, track *boundTracker) *solver {
-	n := len(x0)
-	vec := func() []float64 { return make([]float64, n) }
-	return &solver{
-		raySearch: newRaySearch(obj, x0, f0, target, opts.Tol, opts.RayMax),
-		opts:      opts,
-		track:     track,
-		x:         vec(), next: vec(), grad: vec(), proj: vec(), diff: vec(), u: vec(),
+// newSolver prepares one solve from x₀, where f = f0, in the subspace of
+// sup (nil: every coordinate). Every vector it writes is carved from one
+// allocation.
+func newSolver(obj Objective, sup []int, x0 []float64, f0, target float64, opts Options) *solver {
+	n, m := len(x0), len(x0)
+	if sup != nil {
+		m = len(sup)
 	}
+	nDirs := max(opts.Restarts+2, 0)
+	size := 11 * m
+	if sup != nil {
+		size += 2*n + m + nDirs*m
+	}
+	block := make([]float64, size)
+	vec := func(k int) []float64 {
+		v := block[:k:k]
+		block = block[k:]
+		return v
+	}
+	sp := subspace{obj: obj, orig: x0, h: opts.GradStep}
+	xr := x0
+	if sup != nil {
+		sp.sup, sp.full, sp.gfull, xr = sup, vec(n), vec(n), vec(m)
+		copy(sp.full, x0)
+		for k, i := range sup {
+			xr[k] = x0[i]
+		}
+	}
+	s := &solver{opts: opts, dirs: make([][]float64, 0, nDirs)}
+	s.raySearch = newRaySearch(sp, xr, vec(m), f0, target, opts.Tol, opts.RayMax)
+	s.x, s.next, s.best, s.grad0, s.g = vec(m), vec(m), vec(m), vec(m), vec(m)
+	s.ng, s.grad, s.proj, s.diff, s.u = vec(m), vec(m), vec(m), vec(m), vec(m)
+	s.restarts = block
+	return s
+}
+
+// startDirections returns the solve's starting rays: ±∇f(x₀) normalised,
+// when the gradient is non-zero, then the seed's random restart
+// directions. In a support those are projected onto it and renormalised,
+// and one whose projection is zero is dropped.
+func (s *solver) startDirections(grad0 []float64) [][]float64 {
+	dirs := s.dirs[:0]
+	if _, norm := vecmath.Normalize(s.g, grad0); norm > 0 {
+		dirs = append(dirs, s.g, vecmath.Scale(s.ng, -1, s.g))
+	}
+	k := s.opts.Restarts + 2 - len(dirs)
+	if k <= 0 {
+		return dirs
+	}
+	restarts := restartDirections(s.opts.Seed, len(s.orig), s.opts.Restarts)[:k]
+	if s.sup == nil {
+		return append(dirs, restarts...)
+	}
+	m := len(s.sup)
+	for j, d := range restarts {
+		p := s.restarts[j*m : (j+1)*m]
+		for c, i := range s.sup {
+			p[c] = d[i]
+		}
+		if _, norm := vecmath.Normalize(p, p); norm > 0 {
+			dirs = append(dirs, p)
+		}
+	}
+	return dirs
 }
 
 // refine runs the linearise-project-retract loop from the boundary point
@@ -470,7 +654,7 @@ func newSolver(obj Objective, x0 []float64, f0, target float64, opts Options, tr
 func (s *solver) refine(ctx context.Context, fx float64) Result {
 	x0, target, opts := s.x0, s.target, s.opts
 	dist := vecmath.Distance(x0, s.x)
-	s.grad = s.obj.Gradient(s.grad, s.x, opts.GradStep)
+	s.grad = s.gradient(s.grad, s.x)
 	converged := false
 	iters := 0
 	for ; iters < opts.MaxIter; iters++ {
@@ -495,7 +679,7 @@ func (s *solver) refine(ctx context.Context, fx float64) Result {
 		var nfx float64
 		if norm == 0 {
 			copy(s.next, s.proj)
-			nfx = s.obj.F(s.next)
+			nfx = s.f(s.next)
 		} else {
 			t, ft, err := s.crossing(s.u, norm)
 			if err != nil {
@@ -514,7 +698,7 @@ func (s *solver) refine(ctx context.Context, fx float64) Result {
 		if !improved && !onBoundary {
 			break // stalled off the level set: not converged
 		}
-		s.grad = s.obj.Gradient(s.grad, s.x, opts.GradStep)
+		s.grad = s.gradient(s.grad, s.x)
 		// KKT: at the optimum, (x−x₀) is parallel to ∇f(x).
 		if onBoundary && s.aligned() {
 			converged = true

@@ -268,8 +268,14 @@ func (w *Workspace) buildImpact(is ImpactSpec, dim int, owned bool) (core.Impact
 			// the impact's content identity: decoding the same document
 			// twice — or on two cluster nodes — yields cache-equal
 			// impacts, and convex radii memoise across requests like
-			// linear ones do.
+			// linear ones do. Support and Monotone are functions of the
+			// list too, so equal fingerprints imply equal ones.
 			Fingerprint: termsFingerprint(dim, c),
+			// Each term reads one load, and Validate has forced
+			// Coeff ≥ 0 and P ≥ 1 (or P > 0 for exp), so every term, and
+			// their sum, is non-decreasing.
+			Support:  c.Support(),
+			Monotone: true,
 		}, nil
 	case "":
 		return nil, invalidf("type", "impact type missing")
@@ -295,7 +301,8 @@ func (w *Workspace) linearImpact(coeffs []float64, offset float64, path string) 
 // IEEE-754 bit pattern, so fingerprint equality is exactly functional
 // equality for terms-built impacts.
 func termsFingerprint(dim int, c convexfn.Complexity) []byte {
-	b := make([]byte, 0, 8+24*len(c))
+	// "t1", the dimension, then per term its kind byte and three words.
+	b := make([]byte, 0, 10+25*len(c))
 	b = append(b, 't', '1') // terms encoding, version 1
 	b = binary.LittleEndian.AppendUint64(b, uint64(dim))
 	for _, t := range c {

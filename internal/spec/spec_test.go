@@ -3,9 +3,11 @@ package spec
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"fepia/internal/convexfn"
 	"fepia/internal/core"
 )
 
@@ -77,6 +79,44 @@ func TestTermsImpactFingerprintStable(t *testing.T) {
 	other := strings.Replace(webFarm, `"coeff": 2, "p": 2`, `"coeff": 2, "p": 3`, 1)
 	if string(fp(other)) == string(a) {
 		t.Fatal("different term lists share a fingerprint")
+	}
+}
+
+// termsFingerprint sizes its buffer exactly, so a terms impact's
+// content identity costs one allocation and no copy.
+func TestTermsFingerprintOneAllocation(t *testing.T) {
+	c := convexfn.Complexity{
+		{Kind: convexfn.PowerTerm, Index: 3, Coeff: 1.5, P: 2},
+		{Kind: convexfn.PowerTerm, Index: 4, Coeff: 1.2, P: 3},
+		{Kind: convexfn.XLogXTerm, Index: 5, Coeff: 1.1},
+		{Kind: convexfn.ExpTerm, Index: 6, Coeff: 0.1, P: 0.5},
+	}
+	var fp []byte
+	if allocs := testing.AllocsPerRun(100, func() { fp = termsFingerprint(16, c) }); allocs != 1 {
+		t.Errorf("termsFingerprint makes %v allocations, want 1", allocs)
+	}
+	if len(fp) != cap(fp) {
+		t.Errorf("fingerprint of %d bytes in a buffer of %d", len(fp), cap(fp))
+	}
+}
+
+// A terms impact declares the loads it reads, sorted and distinct, and
+// that it is non-decreasing, so the solver can search only those loads.
+func TestTermsImpactSupportAndMonotone(t *testing.T) {
+	sys, err := Parse([]byte(`{"perturbation":{"orig":[1,2,3,4,5]},"features":[{"max":500,"impact":{"type":"terms","terms":[
+	  {"kind":"power","index":3,"coeff":1,"p":2},
+	  {"kind":"exp","index":1,"coeff":0.5,"p":0.25},
+	  {"kind":"linear","index":3,"coeff":2},
+	  {"kind":"xlogx","index":0,"coeff":1}]}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, ok := sys.Features[0].Impact.(*core.FuncImpact)
+	if !ok {
+		t.Fatalf("terms impact decoded as %T, want *core.FuncImpact", sys.Features[0].Impact)
+	}
+	if want := []int{0, 1, 3}; !slices.Equal(fi.Support, want) || !fi.Monotone {
+		t.Errorf("Support %v, Monotone %v; want %v, true", fi.Support, fi.Monotone, want)
 	}
 }
 

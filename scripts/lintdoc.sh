@@ -15,7 +15,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PKGS="internal/vecmath internal/batch internal/kernel internal/core internal/optimize"
+PKGS="internal/vecmath internal/batch internal/kernel internal/core internal/optimize internal/convexfn internal/spec"
 
 fail=0
 for pkg in $PKGS; do
